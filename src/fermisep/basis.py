@@ -3,8 +3,8 @@
 A basis state of N identical fermions in D orbitals is labelled by a strictly
 increasing N-tuple of orbital indices. This module provides the bijection
 between those tuples and dense linear indices in [0, C(D, N)), in
-lexicographic order, together with the sign bookkeeping for annihilation and
-creation actions on an ordered tuple.
+lexicographic order, together with the sign bookkeeping for annihilation on
+an ordered tuple.
 
 Orbitals are 0-based everywhere, in code and in file formats.
 """
@@ -12,6 +12,7 @@ Orbitals are 0-based everywhere, in code and in file formats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .errors import BoundsError, DimensionError, InvalidTupleError
@@ -81,16 +82,6 @@ class OrbitalBasisIndex:
             x += 1
         return tuple(out)
 
-    def _sorted_tuple(self, orbitals: OrbitalTuple) -> OrbitalTuple:
-        # Occupation tuples of any length; annihilate and create walk between
-        # particle-number sectors, so only ordering and range are enforced.
-        t = tuple(int(x) for x in orbitals)
-        if t and not (0 <= t[0] and t[-1] < self.d):
-            raise InvalidTupleError(f"orbitals out of range [0, {self.d}): {t}")
-        if any(a >= b for a, b in zip(t, t[1:])):
-            raise InvalidTupleError(f"orbitals must be strictly increasing: {t}")
-        return t
-
     def annihilate(self, orbitals: OrbitalTuple, orbital: int) -> tuple[OrbitalTuple, int] | None:
         """Remove `orbital` from an occupied tuple, with the fermionic sign.
 
@@ -99,7 +90,13 @@ class OrbitalBasisIndex:
         (m counts occupied orbitals preceding i). Returns None when the
         orbital is not occupied, since the result is the zero vector.
         """
-        t = self._sorted_tuple(orbitals)
+        # Any length is accepted, since annihilation walks down through the
+        # particle-number sectors; only ordering and range are enforced.
+        t = tuple(int(x) for x in orbitals)
+        if t and not (0 <= t[0] and t[-1] < self.d):
+            raise InvalidTupleError(f"orbitals out of range [0, {self.d}): {t}")
+        if any(a >= b for a, b in zip(t, t[1:])):
+            raise InvalidTupleError(f"orbitals must be strictly increasing: {t}")
         if not 0 <= orbital < self.d:
             raise InvalidTupleError(f"orbital {orbital} outside [0, {self.d})")
         if orbital not in t:
@@ -107,21 +104,6 @@ class OrbitalBasisIndex:
         m = t.index(orbital)
         return t[:m] + t[m + 1:], -1 if m % 2 else 1
 
-    def create(self, orbitals: OrbitalTuple, orbital: int) -> tuple[OrbitalTuple, int] | None:
-        """Insert `orbital` into a sorted tuple, with the fermionic sign.
-
-        Inverse of annihilate: the sign is (-1)**m where m orbitals of the
-        tuple precede the inserted one. Returns None when the orbital is
-        already occupied (Pauli exclusion).
-        """
-        t = self._sorted_tuple(orbitals)
-        if not 0 <= orbital < self.d:
-            raise InvalidTupleError(f"orbital {orbital} outside [0, {self.d})")
-        if orbital in t:
-            return None
-        m = sum(1 for x in t if x < orbital)
-        return t[:m] + (orbital,) + t[m:], -1 if m % 2 else 1
-
     def tuples(self) -> list[OrbitalTuple]:
         """All basis tuples in lexicographic (rank) order."""
-        return [self.unrank(i) for i in range(self.size)]
+        return list(combinations(range(self.d), self.n))

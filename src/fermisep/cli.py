@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FermisepError, NotADensityMatrixError, ResourceLimitError, StateFormatError
+from .errors import FermisepError, NotADensityMatrixError
 from .oracle import densify, oracle_cap, oracle_rdm, sparsify
 from .rdm import compute_rdm, diagonal_decomposition
 from .reporting import format_float, render_csv, render_json
 from .separability import analyze, esbl_check
-from .spectral import eigenvalues
 from .states import FermionState, load_state, random_slater, random_state, save_state
 
 EXIT_OK = 0
@@ -82,7 +81,6 @@ def _analysis_record(path: Path, tolerance: float) -> dict:
     rho = compute_rdm(state)
     t_rdm = time.perf_counter()
     report = analyze(state, tolerance=tolerance, rdm=rho)
-    spectrum = eigenvalues(rho).values
     t_spectral = time.perf_counter()
     record: dict = {
         "input": str(path),
@@ -91,7 +89,7 @@ def _analysis_record(path: Path, tolerance: float) -> dict:
         "input_norm": input_norm,
     }
     record.update(report.to_dict())
-    record["spectrum"] = [float(x) for x in spectrum]
+    record["spectrum"] = [float(x) for x in report.spectrum.values]
     record["timings"] = {
         "load_ms": (t_load - start) * 1e3,
         "rdm_ms": (t_rdm - t_load) * 1e3,
@@ -274,15 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NotADensityMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FermisepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,6 +5,12 @@ rho_r Hermitian, positive semidefinite, and normalized to unit trace. For a
 state of Slater rank one the nonzero eigenvalues all equal 1/N; every
 eigenvalue is bounded by 1/N in general.
 
+With Phi[i, S'] the amplitude of a_i |Psi> on the (N-1)-tuple S', the
+marginal is rho_r = Phi Phi^dag / N. Phi is filled from one cached
+annihilation table of C(D,N) N rows, which the single-particle projection in
+the separability module shares: O(C(D,N) N) work to scatter, then one
+D x D matrix product over the C(D,N-1) columns.
+
 The diagonal of rho_r admits a convex decomposition F_i = sum_k d_k f_ik with
 weights d_k = |c_k|^2 and flat occupation distributions f_ik equal to 1/N on
 the orbitals of tuple k and zero elsewhere. That structure drives the purity
@@ -15,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex
 from .errors import DimensionError
 from .states import FermionState
 
@@ -40,10 +47,6 @@ class ReducedDensityMatrix:
             raise DimensionError(f"expected a {self.dim} x {self.dim} matrix, got {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
@@ -100,55 +103,52 @@ class ConvexDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _transition_table(d: int, n: int):
-    """Index arrays for the a_j^dag a_i contraction over all basis tuples.
+def _annihilation_table(d: int, n: int):
+    """Index arrays of a_i acting on every N-tuple basis state.
 
-    For every tuple S, occupied orbital i in S, and orbital j not in
-    S minus i, the matrix element <i|rho|j> picks up
-    sign * c_S * conj(c_S') / N with S' = (S minus i) + j. Rows of the
-    table: source rank, destination rank, i, j, sign.
+    Row (orbital, small, src, sign): annihilating `orbital` from the N-tuple
+    of rank src lands on the (N-1)-tuple of rank small, both in
+    lexicographic order, with the fermionic sign. Each (orbital, small) pair
+    occurs at most once, since the source tuple is small plus orbital.
     """
-    basis = OrbitalBasisIndex(d, n)
-    all_tuples = basis.tuples()
-    rank_of = {t: k for k, t in enumerate(all_tuples)}
-    src, dst, ii, jj, sign = [], [], [], [], []
-    for k, t in enumerate(all_tuples):
+    small_rank = {t: k for k, t in enumerate(combinations(range(d), n - 1))}
+    orbs, small, src, sign = [], [], [], []
+    for k, t in enumerate(combinations(range(d), n)):
         for m, i in enumerate(t):
-            rest = t[:m] + t[m + 1:]
-            si = -1 if m % 2 else 1
-            for j in range(d):
-                created = basis.create(rest, j)
-                if created is None:
-                    continue
-                t2, sj = created
-                src.append(k)
-                dst.append(rank_of[t2])
-                ii.append(i)
-                jj.append(j)
-                sign.append(si * sj)
+            orbs.append(i)
+            small.append(small_rank[t[:m] + t[m + 1:]])
+            src.append(k)
+            sign.append(-1 if m % 2 else 1)
     return (
+        np.array(orbs, dtype=np.intp),
+        np.array(small, dtype=np.intp),
         np.array(src, dtype=np.intp),
-        np.array(dst, dtype=np.intp),
-        np.array(ii, dtype=np.intp),
-        np.array(jj, dtype=np.intp),
         np.array(sign, dtype=np.float64),
     )
+
+
+def annihilation_amplitudes(state: FermionState) -> np.ndarray:
+    """D x C(D, N-1) matrix Phi with Phi[i, S'] = <S'| a_i |Psi>.
+
+    Columns follow the lexicographic order of the (N-1)-tuples S'.
+    """
+    orbs, small, src, sign = _annihilation_table(state.d, state.n)
+    phi = np.zeros((state.d, comb(state.d, state.n - 1)), dtype=np.complex128)
+    phi[orbs, small] = sign * state.amplitudes[src]
+    return phi
 
 
 def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     """Single-particle reduced density matrix of a pure N-fermion state.
 
-    Built by combinatorial enumeration over (tuple, orbital pair) moves,
-    O(C(D,N) N D) work, never touching the D^N tensor. The result is exactly
-    Hermitian by construction of the double sum.
+    rho = Phi Phi^dag / N from annihilation_amplitudes: O(C(D,N) N) work to
+    fill Phi plus one D x D matrix product, never touching the D^N tensor.
+    The product is Hermitian up to rounding; averaging it with its adjoint
+    makes the result exactly Hermitian.
     """
-    d, n = state.d, state.n
-    src, dst, ii, jj, sign = _transition_table(d, n)
-    c = state.amplitudes
-    terms = sign * (c[src] * np.conj(c[dst]))
-    rho = np.zeros((d, d), dtype=np.complex128)
-    np.add.at(rho, (ii, jj), terms)
-    return ReducedDensityMatrix(d, n, rho / n)
+    phi = annihilation_amplitudes(state)
+    rho = phi @ phi.conj().T / state.n
+    return ReducedDensityMatrix(state.d, state.n, (rho + rho.conj().T) / 2)
 
 
 def diagonal_decomposition(state: FermionState) -> ConvexDecomposition:

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .basis import OrbitalBasisIndex
 from .errors import DimensionError, UnsupportedError
-from .rdm import ReducedDensityMatrix, compute_rdm
-from .spectral import eigenvalues, purity, von_neumann_entropy
+from .rdm import ReducedDensityMatrix, annihilation_amplitudes, compute_rdm
+from .spectral import Spectrum, eigenvalues, purity
 from .states import FermionState
 
 DEFAULT_TOLERANCE = 1e-9
@@ -49,7 +48,9 @@ class SeparabilityReport:
     scaled by N because the entropy is flat to second order around the
     separable point, so eigensolver noise moves it far less than it moves
     the purity; it corroborates rather than decides. The idempotency verdict
-    checks the max-norm defect of rho^2 - rho/N directly.
+    checks the max-norm defect of rho^2 - rho/N directly. The spectrum the
+    entropy was computed from is kept for display; it is not part of
+    to_dict().
     """
 
     purity: float
@@ -61,6 +62,7 @@ class SeparabilityReport:
     verdict_entropy: bool
     verdict_idempotency: bool
     tolerance: float
+    spectrum: Spectrum = field(repr=False, compare=False)
 
     @property
     def separable(self) -> bool:
@@ -106,7 +108,8 @@ def analyze(
     n = state.n
     rho = compute_rdm(state) if rdm is None else rdm
     p = purity(rho)
-    s = von_neumann_entropy(rho)
+    spectrum = eigenvalues(rho)
+    s = spectrum.entropy()
     defect = idempotency_defect(rho, n)
     ln_n = math.log(n)
     return SeparabilityReport(
@@ -119,6 +122,7 @@ def analyze(
         verdict_entropy=abs(s - ln_n) <= tolerance * n,
         verdict_idempotency=defect <= tolerance,
         tolerance=tolerance,
+        spectrum=spectrum,
     )
 
 
@@ -141,33 +145,6 @@ def _rank_one_residual(state: FermionState) -> float:
     return max(0.0, float(lam[2:].sum()))
 
 
-@lru_cache(maxsize=64)
-def _projection_table(d: int, n: int):
-    """Index arrays mapping N-tuple amplitudes to (N-1)-tuple amplitudes.
-
-    Row (src, dst, orbital, sign): annihilating `orbital` from the source
-    tuple lands on the destination tuple of the smaller sector with the
-    fermionic sign.
-    """
-    big = OrbitalBasisIndex(d, n)
-    small = OrbitalBasisIndex(d, n - 1)
-    small_rank = {t: k for k, t in enumerate(small.tuples())}
-    src, dst, orbs, sign = [], [], [], []
-    for k, t in enumerate(big.tuples()):
-        for m, i in enumerate(t):
-            rest = t[:m] + t[m + 1:]
-            src.append(k)
-            dst.append(small_rank[rest])
-            orbs.append(i)
-            sign.append(-1 if m % 2 else 1)
-    return (
-        np.array(src, dtype=np.intp),
-        np.array(dst, dtype=np.intp),
-        np.array(orbs, dtype=np.intp),
-        np.array(sign, dtype=np.float64),
-    )
-
-
 def project_single_particle(
     state: FermionState, direction: np.ndarray
 ) -> tuple[FermionState | None, float]:
@@ -184,14 +161,11 @@ def project_single_particle(
     a = np.asarray(direction, dtype=np.complex128).reshape(-1)
     if a.shape != (state.d,):
         raise DimensionError(f"direction must have length {state.d}, got {a.shape[0]}")
-    src, dst, orbs, sign = _projection_table(state.d, state.n)
-    small = OrbitalBasisIndex(state.d, state.n - 1)
-    b = np.zeros(small.size, dtype=np.complex128)
-    np.add.at(b, dst, sign * np.conj(a[orbs]) * state.amplitudes[src])
+    b = np.conj(a) @ annihilation_amplitudes(state)
     norm = float(np.linalg.norm(b))
     if norm <= NULL_PROJECTION_TOL:
         return None, norm
-    return FermionState(small, b), norm
+    return FermionState(OrbitalBasisIndex(state.d, state.n - 1), b), norm
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,6 @@ class Spectrum:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     def clamped(self) -> np.ndarray:
         """Eigenvalues with small negative noise (within -1e-10) set to zero.
 
@@ -38,6 +35,12 @@ class Spectrum:
         if v.min(initial=0.0) < -HARD_FAIL_TOL:
             raise NotADensityMatrixError(f"eigenvalue {v.min():.3e} below -{HARD_FAIL_TOL:.0e}")
         return np.where(v < 0.0, 0.0, v)
+
+    def entropy(self) -> float:
+        """-sum lambda ln lambda over the clamped spectrum, with 0 ln 0 = 0."""
+        lam = self.clamped()
+        positive = lam[lam > 0.0]
+        return float(-(positive @ np.log(positive)))
 
 
 def eigenvalues(rdm: ReducedDensityMatrix) -> Spectrum:
@@ -63,9 +66,7 @@ def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
     At least ln N for the marginal of an N-fermion pure state, with equality
     exactly on Slater-rank-one states.
     """
-    lam = eigenvalues(rdm).clamped()
-    positive = lam[lam > 0.0]
-    return float(-(positive @ np.log(positive)))
+    return eigenvalues(rdm).entropy()
 
 
 def shannon_entropy(distribution: np.ndarray) -> float:

@@ -233,6 +233,36 @@ def _entry_line(text: str, index: int) -> int | None:
     return text.count("\n", 0, pos) + 1
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_entry(
+    basis: OrbitalBasisIndex, item, idx: int, seen: set[OrbitalTuple]
+) -> tuple[OrbitalTuple, complex]:
+    """Sorted tuple and coefficient of one amplitude entry of a state file."""
+    if not isinstance(item, dict) or "orbitals" not in item:
+        raise StateFormatError(f"amplitude entry {idx} must be an object with orbitals")
+    orbitals = item["orbitals"]
+    if not isinstance(orbitals, list) or not all(_is_int(x) for x in orbitals):
+        raise StateFormatError(f"orbitals must be an array of integers, got {orbitals!r}")
+    try:
+        t = basis.validate(orbitals)
+    except InvalidTupleError as exc:
+        raise StateFormatError(str(exc)) from exc
+    if t in seen:
+        raise StateFormatError(f"tuple {t} listed twice")
+    re = item.get("re", 0.0)
+    im = item.get("im", 0.0)
+    if not all(_is_int(x) or isinstance(x, float) for x in (re, im)):
+        raise StateFormatError("re and im must be numbers")
+    try:
+        return t, complex(re, im)
+    except OverflowError as exc:
+        raise StateFormatError(f"amplitude out of floating-point range: {exc}") from exc
+
+
 def parse_state(text: str) -> tuple[FermionState, float]:
     """Parse a JSON state document; returns (state, pre-normalization norm).
 
@@ -249,7 +279,7 @@ def parse_state(text: str) -> tuple[FermionState, float]:
     for key in ("d", "n", "amplitudes"):
         if key not in doc:
             raise StateFormatError(f"missing required key {key!r}")
-    if not isinstance(doc["d"], int) or not isinstance(doc["n"], int):
+    if not _is_int(doc["d"]) or not _is_int(doc["n"]):
         raise StateFormatError("d and n must be integers")
     if not isinstance(doc["amplitudes"], list) or not doc["amplitudes"]:
         raise StateFormatError("amplitudes must be a non-empty array")
@@ -258,24 +288,21 @@ def parse_state(text: str) -> tuple[FermionState, float]:
     except DimensionError as exc:
         raise StateFormatError(str(exc)) from exc
 
-    c = np.zeros(basis.size, dtype=np.complex128)
+    try:
+        c = np.zeros(basis.size, dtype=np.complex128)
+    except (ValueError, MemoryError) as exc:
+        raise StateFormatError(
+            f"d={basis.d}, n={basis.n} needs C({basis.d}, {basis.n}) amplitudes, too many to allocate"
+        ) from exc
     seen: set[OrbitalTuple] = set()
     for idx, item in enumerate(doc["amplitudes"]):
-        line = _entry_line(text, idx)
-        if not isinstance(item, dict) or "orbitals" not in item:
-            raise StateFormatError(f"amplitude entry {idx} must be an object with orbitals", line=line)
         try:
-            t = basis.validate(item["orbitals"])
-        except (InvalidTupleError, TypeError) as exc:
-            raise StateFormatError(str(exc), line=line) from exc
-        if t in seen:
-            raise StateFormatError(f"tuple {t} listed twice", line=line)
+            t, value = _parse_entry(basis, item, idx, seen)
+        except StateFormatError as exc:
+            # Locating an entry rescans the text, so it is done on failure only.
+            raise StateFormatError(str(exc), line=_entry_line(text, idx)) from exc
         seen.add(t)
-        re = item.get("re", 0.0)
-        im = item.get("im", 0.0)
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise StateFormatError("re and im must be numbers", line=line)
-        c[basis.rank(t)] = complex(re, im)
+        c[basis.rank(t)] = value
 
     norm = float(np.linalg.norm(c))
     if norm == 0.0:

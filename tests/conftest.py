@@ -11,6 +11,17 @@ from scipy.stats import unitary_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+# State files that are valid JSON but mistyped or too large to hold; each
+# must be refused with StateFormatError rather than coerced or crashing.
+MALFORMED_STATES = {
+    "bool-d": '{"d": true, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
+    "string-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": "01", "re": 1.0}]}',
+    "float-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [2.7, 3.2], "re": 1.0}]}',
+    "bool-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": true}]}',
+    "huge-int-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1' + "0" * 400 + "}]}",
+    "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
+}
+
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:

@@ -15,7 +15,7 @@ import pytest
 from conftest import random_unitary
 from fermisep.cli import main
 from fermisep.oracle import densify, oracle_rdm, sparsify
-from fermisep.rdm import ReducedDensityMatrix, _transition_table, compute_rdm, diagonal_decomposition
+from fermisep.rdm import ReducedDensityMatrix, _annihilation_table, compute_rdm, diagonal_decomposition
 from fermisep.separability import analyze, esbl_check, idempotency_defect
 from fermisep.spectral import eigenvalues, purity, von_neumann_entropy
 from fermisep.states import (
@@ -203,7 +203,7 @@ def test_11_analysis_completes_within_a_second(tmp_path, capsys):
     (495 amplitudes) finishes in under one second, cold caches included."""
     path = tmp_path / "large.json"
     save_state(random_state(12, 4, 808), path)
-    _transition_table.cache_clear()
+    _annihilation_table.cache_clear()
     start = time.perf_counter()
     code = main(["analyze", str(path), "--json"])
     elapsed = time.perf_counter() - start

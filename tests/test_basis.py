@@ -91,25 +91,6 @@ def test_annihilate_examples():
     assert b.annihilate((0, 1, 2), 3) is None
 
 
-def test_create_fills_and_signs():
-    b = OrbitalBasisIndex(4, 3)
-    assert b.create((1, 2), 0) == ((0, 1, 2), 1)
-    assert b.create((0, 2), 1) == ((0, 1, 2), -1)
-    assert b.create((0, 1), 1) is None
-
-
-@given(basis_dims(), st.data())
-def test_annihilate_then_create_is_identity(dims, data):
-    d, n = dims
-    b = OrbitalBasisIndex(d, n)
-    t = b.unrank(data.draw(st.integers(0, b.size - 1)))
-    orbital = data.draw(st.sampled_from(t))
-    rest, s1 = b.annihilate(t, orbital)
-    back, s2 = b.create(rest, orbital)
-    assert back == t
-    assert s1 * s2 == 1
-
-
 @given(basis_dims(max_d=7), st.data())
 def test_annihilation_order_anticommutes(dims, data):
     d, n = dims

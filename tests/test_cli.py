@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import fermisep
+from conftest import MALFORMED_STATES
 from fermisep.cli import main
 from fermisep.reporting import load_report_schema
 
@@ -61,6 +67,21 @@ def test_analyze_malformed_tuple_diagnoses_line(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys())
+def test_analyze_malformed_input_exits_2_without_traceback(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    src = str(Path(fermisep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "fermisep", "analyze", str(bad)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
 
 
 def test_analyze_rejects_bad_tolerance(capsys, fixtures_dir):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermisep.basis import OrbitalBasisIndex
 from fermisep.oracle import densify, oracle_rdm
-from fermisep.rdm import compute_rdm, diagonal_decomposition
+from fermisep.rdm import _annihilation_table, compute_rdm, diagonal_decomposition
+from fermisep.separability import project_single_particle
 from fermisep.states import from_coefficients, load_state, random_slater, random_state
 
 
@@ -101,3 +103,35 @@ def test_identity_holds_for_slater_states():
     for seed in range(5):
         dec = diagonal_decomposition(random_slater(7, 3, seed))
         assert abs(dec.pairwise_identity_gap()) <= 1e-10
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 8) for n in range(1, d + 1)])
+def test_annihilation_table_matches_basis(d, n):
+    basis = OrbitalBasisIndex(d, n)
+    assert basis.tuples() == [basis.unrank(k) for k in range(basis.size)]
+
+    # The (N-1)-sector has the single empty tuple when N = 1.
+    lower_rank = OrbitalBasisIndex(d, n - 1).rank if n > 1 else (lambda t: 0)
+    orbs, small, src, sign = _annihilation_table(d, n)
+    assert len(src) == basis.size * n
+    pairs = set()
+    for i, s, k, sgn in zip(orbs, small, src, sign):
+        rest, expected = basis.annihilate(basis.unrank(k), i)
+        assert (s, sgn) == (lower_rank(rest), expected)
+        pairs.add((k, i))
+    assert pairs == {(k, i) for k, t in enumerate(basis.tuples()) for i in t}
+
+    if n < 2:
+        return
+    state = random_state(d, n, 10 * d + n)
+    rng = np.random.default_rng([d, n])
+    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    lower = OrbitalBasisIndex(d, n - 1)
+    explicit = np.zeros(lower.size, dtype=complex)
+    for k, t in enumerate(basis.tuples()):
+        for i in t:
+            rest, sgn = basis.annihilate(t, i)
+            explicit[lower.rank(rest)] += np.conj(a[i]) * sgn * state.amplitudes[k]
+    projected, norm = project_single_particle(state, a)
+    assert norm == pytest.approx(np.linalg.norm(explicit), rel=1e-12)
+    assert np.max(np.abs(norm * projected.amplitudes - explicit)) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import MALFORMED_STATES, random_unitary
 from fermisep.errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -203,3 +203,9 @@ def test_loader_diagnoses_duplicates_and_syntax():
         parse_state('{"d": 4, "n": 2}')
     with pytest.raises(StateFormatError):
         parse_state('{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 0.0}]}')
+
+
+@pytest.mark.parametrize("text", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys())
+def test_loader_rejects_mistyped_and_oversized_input(text):
+    with pytest.raises(StateFormatError):
+        parse_state(text)
