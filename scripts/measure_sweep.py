@@ -70,9 +70,10 @@ def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
     return rows
 
 
-def write_csv(rows: list[dict[str, object]], path: Path) -> None:
+def write_csv(rows: list[dict[str, object]], path: Path, fields: list[str]) -> None:
+    """Write rows under the given header, floats with 17 significant digits."""
     with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=FIELDS)
+        writer = csv.DictWriter(handle, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             rendered = {
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
     )
     rows = run_sweep(config)
-    write_csv(rows, config.out)
+    write_csv(rows, config.out, FIELDS)
     print_summary(rows, config)
     print(f"wrote {len(rows)} rows to {config.out}")
     return 0

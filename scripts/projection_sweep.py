@@ -11,15 +11,14 @@ practice and how the residual margin grows with entanglement.
 from __future__ import annotations
 
 import argparse
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from fermisep.reporting import format_float
 from fermisep.separability import analyze, esbl_check
 from fermisep.states import random_slater, random_state
+from measure_sweep import write_csv  # the script's own directory is on sys.path
 
 FIELDS = ["kind", "index", "samples", "agrees", "residual", "null_chains"]
 
@@ -53,18 +52,6 @@ def run_experiment(config: ProjectionConfig) -> list[dict[str, object]]:
                 }
             )
     return rows
-
-
-def write_csv(rows: list[dict[str, object]], path: Path) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=FIELDS)
-        writer.writeheader()
-        for row in rows:
-            rendered = {
-                key: format_float(value) if isinstance(value, float) else value
-                for key, value in row.items()
-            }
-            writer.writerow(rendered)
 
 
 def print_summary(rows: list[dict[str, object]], config: ProjectionConfig) -> None:
@@ -101,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
     )
     rows = run_experiment(config)
-    write_csv(rows, config.out)
+    write_csv(rows, config.out, FIELDS)
     print_summary(rows, config)
     print(f"wrote {len(rows)} rows to {config.out}")
     return 0

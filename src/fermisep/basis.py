@@ -4,7 +4,7 @@ A basis state of N identical fermions in D orbitals is labelled by a strictly
 increasing N-tuple of orbital indices. This module provides the bijection
 between those tuples and dense linear indices in [0, C(D, N)), in
 lexicographic order, together with the sign bookkeeping for annihilation on
-an ordered tuple.
+an ordered tuple. No other module ranks tuples.
 
 Orbitals are 0-based everywhere, in code and in file formats.
 """
@@ -12,8 +12,10 @@ Orbitals are 0-based everywhere, in code and in file formats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 from .errors import BoundsError, DimensionError, InvalidTupleError
 
@@ -54,16 +56,22 @@ class OrbitalBasisIndex:
     def rank(self, orbitals: OrbitalTuple) -> int:
         """Lexicographic rank of a strictly increasing orbital tuple.
 
-        rank((0, 1, ..., n-1)) = 0 and rank of the last tuple is size - 1.
+        Combinatorial number system (TAOCP 4A, 7.2.1.3): size - 1 - sum_i C(d-1-t_i, n-i).
         """
         t = self.validate(orbitals)
-        r = 0
-        prev = 0
-        for i, x in enumerate(t):
-            for v in range(prev, x):
-                r += comb(self.d - 1 - v, self.n - 1 - i)
-            prev = x + 1
-        return r
+        return self.size - 1 - sum(comb(self.d - 1 - x, self.n - i) for i, x in enumerate(t))
+
+    def ranks(self, tuples: np.ndarray) -> np.ndarray:
+        """Ranks of the rows of an m x n array of strictly increasing tuples, as in rank."""
+        t = np.asarray(tuples, dtype=np.intp)
+        if t.ndim != 2 or t.shape[1] != self.n or (t.size and (t.min() < 0 or t.max() >= self.d)):
+            raise InvalidTupleError(f"expected rows of {self.n} orbitals in [0, {self.d}), got {t.shape}")
+        if np.any(t[:, 1:] <= t[:, :-1]):
+            raise InvalidTupleError("orbitals must be strictly increasing in every row")
+        # Entry i of a valid tuple is at least i. Below that the binomial is
+        # unreachable and left 0, so every entry fits whenever size does.
+        terms = [[comb(self.d - 1 - x, self.n - i) if x >= i else 0 for x in range(self.d)] for i in range(self.n)]
+        return self.size - 1 - np.array(terms, dtype=np.intp)[np.arange(self.n), t].sum(axis=1)
 
     def unrank(self, index: int) -> OrbitalTuple:
         """Inverse of rank: the index-th tuple in lexicographic order."""
@@ -104,6 +112,7 @@ class OrbitalBasisIndex:
         m = t.index(orbital)
         return t[:m] + t[m + 1:], -1 if m % 2 else 1
 
-    def tuples(self) -> list[OrbitalTuple]:
-        """All basis tuples in lexicographic (rank) order."""
-        return list(combinations(range(self.d), self.n))
+    def tuples(self) -> np.ndarray:
+        """All basis tuples as a size x n array, rows in lexicographic (rank) order."""
+        flat = chain.from_iterable(combinations(range(self.d), self.n))
+        return np.fromiter(flat, dtype=np.intp, count=self.size * self.n).reshape(self.size, self.n)

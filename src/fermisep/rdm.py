@@ -8,8 +8,9 @@ eigenvalue is bounded by 1/N in general.
 With Phi[i, S'] the amplitude of a_i |Psi> on the (N-1)-tuple S', the
 marginal is rho_r = Phi Phi^dag / N. Phi is filled from one cached
 annihilation table of C(D,N) N rows, which the single-particle projection in
-the separability module shares: O(C(D,N) N) work to scatter, then one
-D x D matrix product over the C(D,N-1) columns.
+the separability module shares. The table is built by vectorized ranking
+of the N-tuples with one column deleted; then O(C(D,N) N) work scatters into
+Phi and one D x D matrix product runs over its C(D,N-1) columns.
 
 The diagonal of rho_r admits a convex decomposition F_i = sum_k d_k f_ik with
 weights d_k = |c_k|^2 and flat occupation distributions f_ik equal to 1/N on
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from .basis import OrbitalBasisIndex
 from .errors import DimensionError
 from .states import FermionState
 
@@ -92,13 +93,14 @@ class ConvexDecomposition:
         w = self.weights
         n_inv = float(f.max())  # rows sum to 1 with entries 0 or 1/N
         lhs = float(self.diagonal @ self.diagonal)
-        m = f.shape[0]
+        m, d = f.shape
         rhs = n_inv
-        for k in range(m):
-            if w[k] == 0.0:
-                continue
-            diff = f[k + 1:] - f[k]
-            rhs -= float(w[k] * (w[k + 1:] * (diff * diff).sum(axis=1)).sum())
+        # Rows k in blocks of about 2^16 differences f_k - f_k', k' >= start.
+        block = max(1, 2**16 // (m * d))
+        for start in range(0, m, block):
+            diff = f[start:start + block, None, :] - f[None, start:, :]
+            dist = np.triu(np.einsum("kji,kji->kj", diff, diff), 1)  # only k' > k
+            rhs -= float(w[start:start + block] @ dist @ w[start:])
         return lhs - rhs
 
 
@@ -111,20 +113,12 @@ def _annihilation_table(d: int, n: int):
     lexicographic order, with the fermionic sign. Each (orbital, small) pair
     occurs at most once, since the source tuple is small plus orbital.
     """
-    small_rank = {t: k for k, t in enumerate(combinations(range(d), n - 1))}
-    orbs, small, src, sign = [], [], [], []
-    for k, t in enumerate(combinations(range(d), n)):
-        for m, i in enumerate(t):
-            orbs.append(i)
-            small.append(small_rank[t[:m] + t[m + 1:]])
-            src.append(k)
-            sign.append(-1 if m % 2 else 1)
-    return (
-        np.array(orbs, dtype=np.intp),
-        np.array(small, dtype=np.intp),
-        np.array(src, dtype=np.intp),
-        np.array(sign, dtype=np.float64),
-    )
+    t = OrbitalBasisIndex(d, n).tuples()
+    # With one particle, every a_i lands on the empty tuple, of rank 0.
+    lower = OrbitalBasisIndex(d, n - 1).ranks if n > 1 else (lambda rows: np.zeros(len(rows), dtype=np.intp))
+    small = np.stack([lower(np.delete(t, m, axis=1)) for m in range(n)], axis=1)
+    size = len(t)
+    return t.reshape(-1), small.reshape(-1), np.repeat(np.arange(size), n), np.tile((-1.0) ** np.arange(n), size)
 
 
 def annihilation_amplitudes(state: FermionState) -> np.ndarray:
@@ -156,6 +150,5 @@ def diagonal_decomposition(state: FermionState) -> ConvexDecomposition:
     basis = state.basis
     weights = np.abs(state.amplitudes) ** 2
     f = np.zeros((basis.size, basis.d), dtype=np.float64)
-    for k, t in enumerate(basis.tuples()):
-        f[k, list(t)] = 1.0 / basis.n
+    f[np.arange(basis.size)[:, None], basis.tuples()] = 1.0 / basis.n
     return ConvexDecomposition(weights, f)

@@ -133,16 +133,15 @@ def slater_rank_two_fermions(state: FermionState) -> int:
     per determinant in the canonical form of the state; the rank is half
     the number of eigenvalues above 1e-10.
     """
+    return _rank_and_residual(state)[0]
+
+
+def _rank_and_residual(state: FermionState) -> tuple[int, float]:
+    """Slater rank of a two-fermion state and its spectral weight beyond the leading pair."""
     if state.n != 2:
         raise UnsupportedError(f"defined for two fermions only, got n={state.n}")
     lam = eigenvalues(compute_rdm(state)).values
-    return int(np.sum(lam > RANK_EIGENVALUE_TOL)) // 2
-
-
-def _rank_one_residual(state: FermionState) -> float:
-    """Spectral weight of a two-fermion state beyond its leading pair."""
-    lam = eigenvalues(compute_rdm(state)).values
-    return max(0.0, float(lam[2:].sum()))
+    return int(np.sum(lam > RANK_EIGENVALUE_TOL)) // 2, max(0.0, float(lam[2:].sum()))
 
 
 def project_single_particle(
@@ -204,14 +203,8 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     """
     if samples < 1:
         raise DimensionError(f"need at least one sample, got {samples}")
-    if state.n == 2:
-        residual = _rank_one_residual(state)
-        ok = slater_rank_two_fermions(state) == 1
-        record = EsblSample((), residual, False, ok)
-        return EsblResult(ok, (record,))
-
     chains = []
-    for child in np.random.SeedSequence(seed).spawn(samples):
+    for child in np.random.SeedSequence(seed).spawn(samples if state.n > 2 else 1):
         rng = np.random.default_rng(child)
         current = state
         norms: list[float] = []
@@ -226,8 +219,7 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
                 break
             current = projected
         if record is None:
-            residual = _rank_one_residual(current)
-            ok = slater_rank_two_fermions(current) == 1
-            record = EsblSample(tuple(norms), residual, False, ok)
+            rank, residual = _rank_and_residual(current)
+            record = EsblSample(tuple(norms), residual, False, rank == 1)
         chains.append(record)
     return EsblResult(all(s.separable for s in chains), tuple(chains))

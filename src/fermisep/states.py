@@ -14,6 +14,7 @@ from orbitals, seeded random ensembles), the single-particle basis change
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +35,16 @@ NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 ORTHO_TOL = 1e-12
 DEPENDENCE_TOL = 1e-10
+
+
+def _scaled_norm(c: np.ndarray) -> tuple[float, float]:
+    """(scale, norm) with ||c|| = scale * norm, scale an exact power of two near max |c|
+    so that huge or tiny finite amplitudes neither overflow nor underflow."""
+    peak = float(np.maximum(np.max(np.abs(c.real)), np.max(np.abs(c.imag))))
+    if peak == 0.0 or not math.isfinite(peak):
+        return 1.0, peak
+    scale = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, -1022))  # normal, so 1/scale is finite
+    return scale, float(np.linalg.norm(c / scale))
 
 
 @dataclass(frozen=True)
@@ -60,11 +71,11 @@ class FermionState:
             raise DimensionError(
                 f"expected {self.basis.size} amplitudes for d={self.d}, n={self.n}, got {c.shape[0]}"
             )
-        norm = float(np.linalg.norm(c))
+        scale, norm = _scaled_norm(c)
         if norm == 0.0 or not np.isfinite(norm):
             raise ZeroStateError("amplitudes have zero or non-finite norm")
-        if abs(norm - 1.0) > NORM_TOL:
-            c = c / norm
+        if abs(scale * norm - 1.0) > NORM_TOL:
+            c = c / scale / norm
         c.flags.writeable = False
         object.__setattr__(self, "amplitudes", c)
 
@@ -126,8 +137,6 @@ def from_coefficients(
             raise DuplicateEntryError(f"tuple {t} listed twice")
         seen.add(t)
         c[basis.rank(t)] = value
-    if not np.any(c):
-        raise ZeroStateError("all coefficients are zero")
     return FermionState(basis, c)
 
 
@@ -172,8 +181,7 @@ def slater_from_orbitals(orbitals: list[np.ndarray] | np.ndarray) -> FermionStat
     d, n = m.shape
     basis = OrbitalBasisIndex(d, n)
     q = _orthonormalize(m)
-    rows = np.array(basis.tuples(), dtype=np.intp)
-    c = np.linalg.det(q[rows, :])
+    c = np.linalg.det(q[basis.tuples(), :])
     return FermionState(basis, c)
 
 
@@ -188,7 +196,7 @@ def apply_local_unitary(state: FermionState, u: LocalUnitary) -> FermionState:
     if u.d != state.d:
         raise DimensionError(f"unitary is {u.d}-dimensional, state has d={state.d}")
     basis = state.basis
-    tuples = np.array(basis.tuples(), dtype=np.intp)
+    tuples = basis.tuples()
     out = np.empty(basis.size, dtype=np.complex128)
     for a in range(basis.size):
         # minors[b] = U[T_a, S_b]; one stacked determinant call per row T_a
@@ -304,10 +312,12 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         seen.add(t)
         c[basis.rank(t)] = value
 
-    norm = float(np.linalg.norm(c))
+    scale, norm = _scaled_norm(c)
     if norm == 0.0:
         raise StateFormatError("all amplitudes are zero")
-    return FermionState(basis, c), norm
+    if not np.isfinite(scale * norm):
+        raise StateFormatError("amplitudes and their norm must be finite floating-point numbers")
+    return FermionState(basis, c), scale * norm
 
 
 def load_state(path: str | Path) -> tuple[FermionState, float]:
@@ -317,18 +327,11 @@ def load_state(path: str | Path) -> tuple[FermionState, float]:
 
 def state_document(state: FermionState) -> dict:
     """JSON-ready document for a state, omitting exactly-zero amplitudes."""
-    entries = []
-    for k in range(state.basis.size):
-        value = state.amplitudes[k]
-        if value == 0:
-            continue
-        entries.append(
-            {
-                "orbitals": list(state.basis.unrank(k)),
-                "re": float(value.real),
-                "im": float(value.imag),
-            }
-        )
+    nonzero = np.flatnonzero(state.amplitudes)
+    entries = [
+        {"orbitals": orbitals, "re": float(value.real), "im": float(value.imag)}
+        for orbitals, value in zip(state.basis.tuples()[nonzero].tolist(), state.amplitudes[nonzero])
+    ]
     return {"d": state.d, "n": state.n, "amplitudes": entries}
 
 

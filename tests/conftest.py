@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ from scipy.stats import unitary_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# State files that are valid JSON but mistyped or too large to hold; each
-# must be refused with StateFormatError rather than coerced or crashing.
+# State files that are valid JSON but mistyped, too large to hold, or with
+# a norm past the float range; each must be refused with StateFormatError
+# rather than coerced or crashing.
 MALFORMED_STATES = {
     "bool-d": '{"d": true, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
     "string-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": "01", "re": 1.0}]}',
@@ -20,6 +22,7 @@ MALFORMED_STATES = {
     "bool-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": true}]}',
     "huge-int-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1' + "0" * 400 + "}]}",
     "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
+    "overflowing-norm": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.5e308}, {"orbitals": [2, 3], "re": 1.5e308}]}',
 }
 
 
@@ -32,6 +35,18 @@ def enumerated_tuples(d: int, n: int) -> list[tuple[int, ...]]:
     """Brute-force reference ordering: itertools yields sorted n-subsets
     of range(d) in lexicographic order, independently of the package."""
     return list(combinations(range(d), n))
+
+
+def reference_rank(d: int, n: int, t: tuple[int, ...]) -> int:
+    """Lexicographic rank by counting, entry by entry, the tuples that agree
+    up to position i and have a smaller entry there."""
+    r = 0
+    prev = 0
+    for i, x in enumerate(t):
+        for v in range(prev, x):
+            r += comb(d - 1 - v, n - 1 - i)
+        prev = x + 1
+    return r
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Ranking, unranking, and sign bookkeeping of the orbital tuple basis."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import enumerated_tuples
+from conftest import enumerated_tuples, reference_rank
 from fermisep.basis import OrbitalBasisIndex
 from fermisep.errors import BoundsError, DimensionError, InvalidTupleError
 
@@ -28,7 +29,7 @@ def test_rank_frozen_spot_value():
     assert OrbitalBasisIndex(6, 3).rank((1, 3, 4)) == 13
 
 
-@pytest.mark.parametrize("d, n", [(2, 1), (4, 2), (6, 3), (7, 4), (9, 2), (5, 5)])
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 8) for n in range(1, d + 1)] + [(9, 2)])
 def test_rank_matches_enumeration(d, n):
     b = OrbitalBasisIndex(d, n)
     reference = enumerated_tuples(d, n)
@@ -36,6 +37,24 @@ def test_rank_matches_enumeration(d, n):
     for k, t in enumerate(reference):
         assert b.rank(t) == k
         assert b.unrank(k) == t
+    assert b.tuples().tolist() == [list(t) for t in reference]
+    assert b.ranks(np.array(reference)).tolist() == list(range(b.size))
+
+
+@pytest.mark.parametrize("d, n", [(80, 78), (64, 32)])
+def test_closed_form_rank_on_bases_with_huge_binomials(d, n):
+    # At (80, 78) a table of every C(a, b) with a < d, b <= n overflows int64
+    # (C(79, 39) > 2^63), so only reachable entries may be tabulated; at
+    # (64, 32) the ranks themselves come within a factor 5 of 2^63.
+    b = OrbitalBasisIndex(d, n)
+    rng = np.random.default_rng([d, n])
+    rows = np.sort(np.array([rng.choice(d, n, replace=False) for _ in range(300)]), axis=1)
+    rows[-1] = np.arange(d - n, d)
+    expected = [reference_rank(d, n, tuple(t)) for t in rows.tolist()]
+    assert [b.rank(t) for t in rows.tolist()] == expected
+    assert b.ranks(rows).tolist() == expected
+    assert expected[-1] == b.size - 1
+    assert b.unrank(expected[0]) == tuple(rows[0].tolist())
 
 
 def test_unrank_examples():
@@ -71,6 +90,9 @@ def test_invalid_tuples_rejected():
         b.rank((0, 4))
     with pytest.raises(InvalidTupleError):
         b.rank((0, 1, 2))
+    for rows in ([[1, 1]], [[2, 1]], [[0, 4]], [[-1, 2]], [[0, 1, 2]], [0, 1]):
+        with pytest.raises(InvalidTupleError):
+            b.ranks(np.array(rows))
     with pytest.raises(BoundsError):
         b.unrank(6)
     with pytest.raises(BoundsError):

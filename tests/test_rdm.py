@@ -108,7 +108,7 @@ def test_identity_holds_for_slater_states():
 @pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 8) for n in range(1, d + 1)])
 def test_annihilation_table_matches_basis(d, n):
     basis = OrbitalBasisIndex(d, n)
-    assert basis.tuples() == [basis.unrank(k) for k in range(basis.size)]
+    assert basis.tuples().tolist() == [list(basis.unrank(k)) for k in range(basis.size)]
 
     # The (N-1)-sector has the single empty tuple when N = 1.
     lower_rank = OrbitalBasisIndex(d, n - 1).rank if n > 1 else (lambda t: 0)

@@ -1,0 +1,46 @@
+"""Smoke runs of the experiment scripts on tiny grids."""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def scripts(monkeypatch):
+    # The scripts import each other as siblings, as they do when run directly.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import measure_sweep
+    import projection_sweep
+
+    return measure_sweep, projection_sweep
+
+
+def read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    with path.open(newline="") as handle:
+        reader = csv.DictReader(handle)
+        return reader.fieldnames, list(reader)
+
+
+def test_measure_sweep_writes_one_row_per_state(scripts, tmp_path):
+    measure_sweep, _ = scripts
+    out = tmp_path / "measure.csv"
+    assert measure_sweep.main(["--n-max", "3", "--d-max", "4", "--count", "2", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == measure_sweep.FIELDS
+    # Cells (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), two kinds, two states each.
+    assert len(rows) == 5 * 2 * 2
+    assert all(r["separable"] == "True" for r in rows if r["kind"] == "slater")
+
+
+def test_projection_sweep_writes_one_row_per_state_and_count(scripts, tmp_path):
+    _, projection_sweep = scripts
+    out = tmp_path / "projection.csv"
+    argv = ["--d", "5", "--n", "3", "--states", "4", "--samples", "1", "2", "--out", str(out)]
+    assert projection_sweep.main(argv) == 0
+    header, rows = read_csv(out)
+    assert header == projection_sweep.FIELDS
+    assert len(rows) == 4 * 2
+    assert all(r["agrees"] == "True" for r in rows)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermisep import separability
 from fermisep.errors import DimensionError, UnsupportedError
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.separability import (
@@ -124,6 +125,19 @@ def test_esbl_two_fermions_reads_rank_directly():
     assert sep.separable and len(sep.samples) == 1
     ent = esbl_check(from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0)]), samples=4, seed=0)
     assert not ent.separable
+
+
+def test_esbl_reads_one_spectrum_per_chain(monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state.n)
+        return compute_rdm(state)
+
+    monkeypatch.setattr(separability, "compute_rdm", counting)
+    result = esbl_check(random_state(8, 4, 2), samples=16, seed=0)
+    assert len(result.samples) == 16 and not any(s.null for s in result.samples)
+    assert calls == [2] * 16
 
 
 def test_esbl_rejects_bad_sample_count():

@@ -1,5 +1,7 @@
 """Construction, normalization, transformation, and file round-trips of states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from fermisep.errors import (
     ZeroStateError,
 )
 from fermisep.rdm import compute_rdm
+from fermisep.reporting import render_json
+from fermisep.separability import analyze
 from fermisep.spectral import purity
 from fermisep.states import (
     FermionState,
@@ -27,6 +31,7 @@ from fermisep.states import (
     random_state,
     save_state,
     slater_from_orbitals,
+    state_document,
 )
 
 
@@ -165,6 +170,20 @@ def test_state_file_round_trip(tmp_path):
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_state_document_matches_unranked_listing():
+    state = random_state(12, 5, 8)
+    sparse = state.amplitudes.copy()
+    sparse[::3] = 0
+    for s in (state, FermionState(state.basis, sparse)):
+        expected = [
+            {"orbitals": list(s.basis.unrank(k)), "re": float(v.real), "im": float(v.imag)}
+            for k, v in enumerate(s.amplitudes)
+            if v != 0
+        ]
+        doc = {"d": 12, "n": 5, "amplitudes": expected}
+        assert render_json(state_document(s)) == render_json(doc)
+
+
 def test_loader_reports_pre_normalization_norm():
     text = """{
       "d": 4, "n": 2,
@@ -175,6 +194,24 @@ def test_loader_reports_pre_normalization_norm():
     state, norm = parse_state(text)
     assert norm == pytest.approx(2.0)
     assert state.amplitude((0, 1)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_huge_and_tiny_amplitudes_keep_their_measures(scale):
+    reference = analyze(from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0)]))
+    text = (
+        '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": %r}, {"orbitals": [2, 3], "re": %r}]}'
+        % (scale, scale)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, norm = parse_state(text)
+        coefficients = from_coefficients(4, 2, [((0, 1), scale), ((2, 3), scale)])
+    assert norm == pytest.approx(scale * np.sqrt(2), rel=1e-15)
+    for s in (state, coefficients):
+        report = analyze(s)
+        assert report.purity == pytest.approx(reference.purity, abs=1e-15)
+        assert report.entropy == pytest.approx(reference.entropy, abs=1e-15)
 
 
 def test_loader_defaults_missing_parts_to_zero():
