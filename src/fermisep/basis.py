@@ -3,8 +3,8 @@
 A basis state of N identical fermions in D orbitals is labelled by a strictly
 increasing N-tuple of orbital indices. This module provides the bijection
 between those tuples and dense linear indices in [0, C(D, N)), in
-lexicographic order, together with the sign bookkeeping for annihilation on
-an ordered tuple. No other module ranks tuples.
+lexicographic order: ``ranks`` maps tuples to indices and row k of
+``tuples()`` is the k-th tuple. No other module ranks tuples.
 
 Orbitals are 0-based everywhere, in code and in file formats.
 """
@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BoundsError, DimensionError, InvalidTupleError
+from .errors import DimensionError, InvalidTupleError
 
 OrbitalTuple = tuple[int, ...]
 
@@ -54,15 +54,14 @@ class OrbitalBasisIndex:
         return t
 
     def rank(self, orbitals: OrbitalTuple) -> int:
-        """Lexicographic rank of a strictly increasing orbital tuple.
+        """Lexicographic rank of a strictly increasing orbital tuple: a one-row ranks."""
+        return int(self.ranks(np.array([self.validate(orbitals)]))[0])
+
+    def ranks(self, tuples: np.ndarray) -> np.ndarray:
+        """Lexicographic ranks of the rows of an m x n array of strictly increasing tuples.
 
         Combinatorial number system (TAOCP 4A, 7.2.1.3): size - 1 - sum_i C(d-1-t_i, n-i).
         """
-        t = self.validate(orbitals)
-        return self.size - 1 - sum(comb(self.d - 1 - x, self.n - i) for i, x in enumerate(t))
-
-    def ranks(self, tuples: np.ndarray) -> np.ndarray:
-        """Ranks of the rows of an m x n array of strictly increasing tuples, as in rank."""
         t = np.asarray(tuples, dtype=np.intp)
         if t.ndim != 2 or t.shape[1] != self.n or (t.size and (t.min() < 0 or t.max() >= self.d)):
             raise InvalidTupleError(f"expected rows of {self.n} orbitals in [0, {self.d}), got {t.shape}")
@@ -72,45 +71,6 @@ class OrbitalBasisIndex:
         # unreachable and left 0, so every entry fits whenever size does.
         terms = [[comb(self.d - 1 - x, self.n - i) if x >= i else 0 for x in range(self.d)] for i in range(self.n)]
         return self.size - 1 - np.array(terms, dtype=np.intp)[np.arange(self.n), t].sum(axis=1)
-
-    def unrank(self, index: int) -> OrbitalTuple:
-        """Inverse of rank: the index-th tuple in lexicographic order."""
-        if not 0 <= index < self.size:
-            raise BoundsError(f"index {index} outside [0, {self.size})")
-        out = []
-        r = index
-        x = 0
-        for i in range(self.n):
-            c = comb(self.d - 1 - x, self.n - 1 - i)
-            while c <= r:
-                r -= c
-                x += 1
-                c = comb(self.d - 1 - x, self.n - 1 - i)
-            out.append(x)
-            x += 1
-        return tuple(out)
-
-    def annihilate(self, orbitals: OrbitalTuple, orbital: int) -> tuple[OrbitalTuple, int] | None:
-        """Remove `orbital` from an occupied tuple, with the fermionic sign.
-
-        Acting with a_i on the ordered product of creation operators for
-        `orbitals` gives (-1)**m times the tuple with the m-th entry removed
-        (m counts occupied orbitals preceding i). Returns None when the
-        orbital is not occupied, since the result is the zero vector.
-        """
-        # Any length is accepted, since annihilation walks down through the
-        # particle-number sectors; only ordering and range are enforced.
-        t = tuple(int(x) for x in orbitals)
-        if t and not (0 <= t[0] and t[-1] < self.d):
-            raise InvalidTupleError(f"orbitals out of range [0, {self.d}): {t}")
-        if any(a >= b for a, b in zip(t, t[1:])):
-            raise InvalidTupleError(f"orbitals must be strictly increasing: {t}")
-        if not 0 <= orbital < self.d:
-            raise InvalidTupleError(f"orbital {orbital} outside [0, {self.d})")
-        if orbital not in t:
-            return None
-        m = t.index(orbital)
-        return t[:m] + t[m + 1:], -1 if m % 2 else 1
 
     def tuples(self) -> np.ndarray:
         """All basis tuples as a size x n array, rows in lexicographic (rank) order."""

@@ -23,7 +23,7 @@ from .oracle import densify, oracle_cap, oracle_rdm, sparsify
 from .rdm import compute_rdm, diagonal_decomposition
 from .reporting import format_float, render_csv, render_json
 from .separability import analyze, esbl_check
-from .states import FermionState, load_state, random_slater, random_state, save_state
+from .states import load_state, random_slater, random_state, save_state
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--trials", type=int, default=20, help="states per (n, d) cell (default 20)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("esbl", help="randomized projection check vs the purity verdict")
@@ -152,7 +151,7 @@ def cmd_random(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_cell(n: int, d: int, trials: int, seed: int, corrupt: bool) -> tuple[dict, list[str]]:
+def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str]]:
     failures: list[str] = []
     stats = {"oracle": 0.0, "roundtrip": 0.0, "identity": 0.0, "diag": 0.0}
 
@@ -195,14 +194,6 @@ def _verify_cell(n: int, d: int, trials: int, seed: int, corrupt: bool) -> tuple
         if diag_dev > 1e-12:
             failures.append(f"{label}: decomposition diagonal off by {diag_dev:.3e}")
 
-        if corrupt and trial == 0:
-            c = state.amplitudes.copy()
-            c[0] = c[0] * (1.0 + 1e-6) if c[0] != 0 else 1e-6
-            corrupted = FermionState(state.basis, c)
-            dev = float(np.max(np.abs(compute_rdm(corrupted).entries - oracle.entries)))
-            if dev > 1e-12:
-                failures.append(f"{label}: injected corruption detected ({dev:.3e})")
-
     return stats, failures
 
 
@@ -223,7 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"{'n':>2} {'d':>3} {'trials':>6} {'max|fast-oracle|':>17} {'max roundtrip':>14} {'max identity gap':>17}")
     for n in range(2, args.n_max + 1):
         for d in range(n, args.d_max + 1):
-            stats, failures = _verify_cell(n, d, args.trials, args.seed, args.inject_corruption)
+            stats, failures = _verify_cell(n, d, args.trials, args.seed)
             all_failures.extend(failures)
             flag = "" if not failures else "  FAIL"
             print(

@@ -9,10 +9,6 @@ class InvalidTupleError(FermisepError, ValueError):
     """Orbital tuple is malformed: not strictly increasing, out of range, or wrong length."""
 
 
-class BoundsError(FermisepError, IndexError):
-    """Linear index outside [0, C(D, N))."""
-
-
 class DuplicateEntryError(FermisepError, ValueError):
     """The same orbital tuple appears twice in a coefficient listing."""
 

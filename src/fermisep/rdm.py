@@ -30,9 +30,6 @@ from .basis import OrbitalBasisIndex
 from .errors import DimensionError
 from .states import FermionState
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:

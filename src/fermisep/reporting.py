@@ -13,6 +13,8 @@ import io
 import json
 from importlib import resources
 
+INDENT = 2
+
 
 def format_float(value: float) -> str:
     if value != value or value in (float("inf"), float("-inf")):
@@ -20,14 +22,14 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def render_json(obj, indent: int = 2) -> str:
+def render_json(obj) -> str:
     """Serialize dicts/lists/scalars to JSON text with 17-digit floats."""
-    return "".join(_render(obj, indent, 0))
+    return "".join(_render(obj, 0))
 
 
-def _render(obj, indent: int, level: int):
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _render(obj, level: int):
+    pad = " " * (INDENT * (level + 1))
+    closing = " " * (INDENT * level)
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -37,7 +39,7 @@ def _render(obj, indent: int, level: int):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
             yield pad + json.dumps(key) + ": "
-            yield from _render(value, indent, level + 1)
+            yield from _render(value, level + 1)
             yield ",\n" if i < len(obj) - 1 else "\n"
         yield closing + "}"
     elif isinstance(obj, (list, tuple)):
@@ -51,7 +53,7 @@ def _render(obj, indent: int, level: int):
         yield "[\n"
         for i, value in enumerate(obj):
             yield pad
-            yield from _render(value, indent, level + 1)
+            yield from _render(value, level + 1)
             yield ",\n" if i < len(obj) - 1 else "\n"
         yield closing + "]"
     elif isinstance(obj, bool):

@@ -9,7 +9,6 @@ import numpy as np
 from .errors import InvalidDistributionError, NotADensityMatrixError
 from .rdm import ReducedDensityMatrix
 
-CLAMP_TOL = 1e-10
 HARD_FAIL_TOL = 1e-8
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -26,10 +25,10 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
     def clamped(self) -> np.ndarray:
-        """Eigenvalues with small negative noise (within -1e-10) set to zero.
+        """Eigenvalues with negative noise (at or above -1e-8) set to zero.
 
-        Anything below the hard threshold -1e-8 means the input was not a
-        density matrix and raises instead of being papered over.
+        Anything below that hard threshold means the input was not a density
+        matrix and raises instead of being papered over.
         """
         v = self.values
         if v.min(initial=0.0) < -HARD_FAIL_TOL:

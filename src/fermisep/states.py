@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import (
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
-ORTHO_TOL = 1e-12
 DEPENDENCE_TOL = 1e-10
 
 
@@ -103,14 +102,13 @@ class LocalUnitary:
     """
 
     matrix: np.ndarray
-    tolerance: float = UNITARY_TOL
 
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=np.complex128)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionError(f"unitary must be square, got shape {u.shape}")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if defect > self.tolerance:
+        if defect > UNITARY_TOL:
             raise NonUnitaryError(f"U^dag U deviates from identity by {defect:.3e}")
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
@@ -130,35 +128,32 @@ def from_coefficients(
     """
     basis = OrbitalBasisIndex(d, n)
     c = np.zeros(basis.size, dtype=np.complex128)
-    seen: set[OrbitalTuple] = set()
+    listed: dict[OrbitalTuple, complex] = {}
     for orbitals, value in entries:
         t = basis.validate(orbitals)
-        if t in seen:
+        if t in listed:
             raise DuplicateEntryError(f"tuple {t} listed twice")
-        seen.add(t)
-        c[basis.rank(t)] = value
+        listed[t] = value
+    c[basis.ranks(np.reshape(list(listed), (-1, n)))] = list(listed.values())
     return FermionState(basis, c)
 
 
 def _orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Q of columns = Q R with R upper triangular and its diagonal real positive.
 
-    Raises DegenerateOrbitalsError when a column is (numerically) in the
-    span of its predecessors. The result is orthonormal to about 1e-12 or
-    better even for poorly conditioned input.
+    That is the Q Gram-Schmidt gives. Each column is first scaled by an exact
+    power of two, so orbitals of any finite scale neither overflow nor
+    underflow. Raises DegenerateOrbitalsError when a column is (numerically)
+    in the span of its predecessors.
     """
     m = np.array(columns, dtype=np.complex128)
-    d, n = m.shape
-    for j in range(n):
-        original = np.linalg.norm(m[:, j])
-        for _ in range(2):
-            for i in range(j):
-                m[:, j] -= (m[:, i].conj() @ m[:, j]) * m[:, i]
-        norm = np.linalg.norm(m[:, j])
-        if original == 0.0 or norm <= DEPENDENCE_TOL * original:
-            raise DegenerateOrbitalsError(f"orbital {j} is linearly dependent on the previous ones")
-        m[:, j] /= norm
-    return m
+    scales, norms = np.array([_scaled_norm(col) for col in m.T]).T
+    q, r = np.linalg.qr(m / scales)
+    diag = np.diag(r)
+    dependent = np.flatnonzero(np.abs(diag) <= DEPENDENCE_TOL * norms)
+    if dependent.size:
+        raise DegenerateOrbitalsError(f"orbital {dependent[0]} is linearly dependent on the previous ones")
+    return q * (diag / np.abs(diag))
 
 
 def slater_from_orbitals(orbitals: list[np.ndarray] | np.ndarray) -> FermionState:
@@ -216,8 +211,6 @@ def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionS
 
 def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
     """Random Slater-rank-one state from N Gaussian orbitals, orthonormalized."""
-    if n > d:
-        raise DimensionError(f"need n <= d, got n={n} > d={d}")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
     return slater_from_orbitals(m)
@@ -226,9 +219,7 @@ def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> Fermion
 def haar_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
     """Haar-distributed d x d unitary via QR with the R-diagonal phase fix."""
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return LocalUnitary(q)
+    return LocalUnitary(_orthonormalize(z))
 
 
 def _entry_line(text: str, index: int) -> int | None:
@@ -247,7 +238,7 @@ def _is_int(value) -> bool:
 
 
 def _parse_entry(
-    basis: OrbitalBasisIndex, item, idx: int, seen: set[OrbitalTuple]
+    basis: OrbitalBasisIndex, item, idx: int, seen: dict[OrbitalTuple, complex]
 ) -> tuple[OrbitalTuple, complex]:
     """Sorted tuple and coefficient of one amplitude entry of a state file."""
     if not isinstance(item, dict) or "orbitals" not in item:
@@ -302,15 +293,15 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         raise StateFormatError(
             f"d={basis.d}, n={basis.n} needs C({basis.d}, {basis.n}) amplitudes, too many to allocate"
         ) from exc
-    seen: set[OrbitalTuple] = set()
+    listed: dict[OrbitalTuple, complex] = {}
     for idx, item in enumerate(doc["amplitudes"]):
         try:
-            t, value = _parse_entry(basis, item, idx, seen)
+            t, value = _parse_entry(basis, item, idx, listed)
         except StateFormatError as exc:
             # Locating an entry rescans the text, so it is done on failure only.
             raise StateFormatError(str(exc), line=_entry_line(text, idx)) from exc
-        seen.add(t)
-        c[basis.rank(t)] = value
+        listed[t] = value
+    c[basis.ranks(list(listed))] = list(listed.values())
 
     scale, norm = _scaled_norm(c)
     if norm == 0.0:

@@ -49,5 +49,15 @@ def reference_rank(d: int, n: int, t: tuple[int, ...]) -> int:
     return r
 
 
+def reference_annihilate(t: tuple[int, ...], orbital: int) -> tuple[tuple[int, ...], int] | None:
+    """a_orbital on the ordered determinant of sorted tuple t: the tuple with
+    that orbital removed and the sign (-1)^m, m the number of occupied orbitals
+    before it; None when the orbital is empty and the result is zero."""
+    if orbital not in t:
+        return None
+    m = t.index(orbital)
+    return t[:m] + t[m + 1:], -1 if m % 2 else 1
+
+
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return unitary_group.rvs(d, random_state=rng)

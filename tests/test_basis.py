@@ -1,13 +1,13 @@
-"""Ranking, unranking, and sign bookkeeping of the orbital tuple basis."""
+"""Ranking and tuple order of the orbital basis, and the annihilation sign convention."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import enumerated_tuples, reference_rank
+from conftest import enumerated_tuples, reference_annihilate, reference_rank
 from fermisep.basis import OrbitalBasisIndex
-from fermisep.errors import BoundsError, DimensionError, InvalidTupleError
+from fermisep.errors import DimensionError, InvalidTupleError
 
 
 def basis_dims(max_d: int = 8):
@@ -36,7 +36,6 @@ def test_rank_matches_enumeration(d, n):
     assert b.size == len(reference)
     for k, t in enumerate(reference):
         assert b.rank(t) == k
-        assert b.unrank(k) == t
     assert b.tuples().tolist() == [list(t) for t in reference]
     assert b.ranks(np.array(reference)).tolist() == list(range(b.size))
 
@@ -54,19 +53,18 @@ def test_closed_form_rank_on_bases_with_huge_binomials(d, n):
     assert [b.rank(t) for t in rows.tolist()] == expected
     assert b.ranks(rows).tolist() == expected
     assert expected[-1] == b.size - 1
-    assert b.unrank(expected[0]) == tuple(rows[0].tolist())
 
 
-def test_unrank_examples():
+def test_kth_tuple_examples():
     b = OrbitalBasisIndex(4, 2)
-    assert b.unrank(0) == (0, 1)
-    assert b.unrank(5) == (2, 3)
+    assert b.tuples()[0].tolist() == [0, 1]
+    assert b.tuples()[5].tolist() == [2, 3]
 
 
 def test_round_trip_exhaustive_six_choose_three():
     b = OrbitalBasisIndex(6, 3)
-    for i in range(b.size):
-        assert b.rank(b.unrank(i)) == i
+    for i, t in enumerate(b.tuples().tolist()):
+        assert b.rank(t) == i
 
 
 @given(basis_dims(), st.data())
@@ -74,7 +72,7 @@ def test_round_trip_property(dims, data):
     d, n = dims
     b = OrbitalBasisIndex(d, n)
     i = data.draw(st.integers(0, b.size - 1))
-    t = b.unrank(i)
+    t = enumerated_tuples(d, n)[i]
     assert len(t) == n
     assert all(a < bb for a, bb in zip(t, t[1:]))
     assert b.rank(t) == i
@@ -93,10 +91,6 @@ def test_invalid_tuples_rejected():
     for rows in ([[1, 1]], [[2, 1]], [[0, 4]], [[-1, 2]], [[0, 1, 2]], [0, 1]):
         with pytest.raises(InvalidTupleError):
             b.ranks(np.array(rows))
-    with pytest.raises(BoundsError):
-        b.unrank(6)
-    with pytest.raises(BoundsError):
-        b.unrank(-1)
 
 
 def test_dimension_validation():
@@ -107,10 +101,9 @@ def test_dimension_validation():
 
 
 def test_annihilate_examples():
-    b = OrbitalBasisIndex(4, 3)
-    assert b.annihilate((0, 1, 2), 0) == ((1, 2), 1)
-    assert b.annihilate((0, 1, 2), 1) == ((0, 2), -1)
-    assert b.annihilate((0, 1, 2), 3) is None
+    assert reference_annihilate((0, 1, 2), 0) == ((1, 2), 1)
+    assert reference_annihilate((0, 1, 2), 1) == ((0, 2), -1)
+    assert reference_annihilate((0, 1, 2), 3) is None
 
 
 @given(basis_dims(max_d=7), st.data())
@@ -118,14 +111,13 @@ def test_annihilation_order_anticommutes(dims, data):
     d, n = dims
     if n < 2:
         return
-    b = OrbitalBasisIndex(d, n)
-    t = b.unrank(data.draw(st.integers(0, b.size - 1)))
+    t = data.draw(st.sampled_from(enumerated_tuples(d, n)))
     p = data.draw(st.sampled_from(t))
     q = data.draw(st.sampled_from([x for x in t if x != p]))
 
-    r1, s1 = b.annihilate(t, p)
-    r2, s2 = b.annihilate(r1, q)
-    r3, s3 = b.annihilate(t, q)
-    r4, s4 = b.annihilate(r3, p)
+    r1, s1 = reference_annihilate(t, p)
+    r2, s2 = reference_annihilate(r1, q)
+    r3, s3 = reference_annihilate(t, q)
+    r4, s4 = reference_annihilate(r3, p)
     assert r2 == r4
     assert s1 * s2 == -(s3 * s4)

@@ -12,7 +12,9 @@ import pytest
 
 import fermisep
 from conftest import MALFORMED_STATES
+import fermisep.cli
 from fermisep.cli import main
+from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import load_report_schema
 
 
@@ -130,12 +132,19 @@ def test_verify_refuses_oversized_grid(capsys):
     assert "cap" in err
 
 
-def test_verify_detects_injected_corruption(capsys):
-    code, _, err = run(
-        capsys, "verify", "--d-max", "4", "--n-max", "2", "--trials", "2", "--inject-corruption"
-    )
+def test_verify_detects_injected_corruption(capsys, monkeypatch):
+    # A fast path that is off by 1e-9 in one diagonal entry must fail the
+    # comparison against the dense oracle.
+    def corrupted_rdm(state):
+        rho = compute_rdm(state)
+        entries = rho.entries.copy()
+        entries[0, 0] += 1e-9
+        return ReducedDensityMatrix(rho.dim, rho.n, entries)
+
+    monkeypatch.setattr(fermisep.cli, "compute_rdm", corrupted_rdm)
+    code, _, err = run(capsys, "verify", "--d-max", "4", "--n-max", "2", "--trials", "2")
     assert code == 1
-    assert "corruption" in err
+    assert "fast/oracle marginals differ" in err
 
 
 def test_esbl_agreement_on_fixtures(capsys, fixtures_dir, tmp_path):

@@ -1,0 +1,60 @@
+"""Dead-code checks on the package source: unused imports and unused constants."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fermisep"
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree, as bare names or as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Names bound by import statements, without `from __future__` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_package_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        unused += [f"{path.name}: {name}" for name in sorted(imported_names(tree) - loaded_names(tree))]
+    assert unused == []
+
+
+def test_every_package_constant_is_referenced():
+    referenced = set()
+    for folder in ("src", "tests", "scripts"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= loaded_names(parse(path))
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id) and target.id not in referenced:
+                    unreferenced.append(f"{path.name}: {target.id}")
+    assert unreferenced == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerated_tuples, reference_annihilate
 from fermisep.basis import OrbitalBasisIndex
 from fermisep.oracle import densify, oracle_rdm
 from fermisep.rdm import _annihilation_table, compute_rdm, diagonal_decomposition
@@ -108,7 +109,8 @@ def test_identity_holds_for_slater_states():
 @pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 8) for n in range(1, d + 1)])
 def test_annihilation_table_matches_basis(d, n):
     basis = OrbitalBasisIndex(d, n)
-    assert basis.tuples().tolist() == [list(basis.unrank(k)) for k in range(basis.size)]
+    reference = enumerated_tuples(d, n)
+    assert basis.tuples().tolist() == [list(t) for t in reference]
 
     # The (N-1)-sector has the single empty tuple when N = 1.
     lower_rank = OrbitalBasisIndex(d, n - 1).rank if n > 1 else (lambda t: 0)
@@ -116,7 +118,7 @@ def test_annihilation_table_matches_basis(d, n):
     assert len(src) == basis.size * n
     pairs = set()
     for i, s, k, sgn in zip(orbs, small, src, sign):
-        rest, expected = basis.annihilate(basis.unrank(k), i)
+        rest, expected = reference_annihilate(reference[k], i)
         assert (s, sgn) == (lower_rank(rest), expected)
         pairs.add((k, i))
     assert pairs == {(k, i) for k, t in enumerate(basis.tuples()) for i in t}
@@ -128,9 +130,9 @@ def test_annihilation_table_matches_basis(d, n):
     a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     lower = OrbitalBasisIndex(d, n - 1)
     explicit = np.zeros(lower.size, dtype=complex)
-    for k, t in enumerate(basis.tuples()):
+    for k, t in enumerate(reference):
         for i in t:
-            rest, sgn = basis.annihilate(t, i)
+            rest, sgn = reference_annihilate(t, i)
             explicit[lower.rank(rest)] += np.conj(a[i]) * sgn * state.amplitudes[k]
     projected, norm = project_single_particle(state, a)
     assert norm == pytest.approx(np.linalg.norm(explicit), rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_STATES, random_unitary
+from conftest import MALFORMED_STATES, enumerated_tuples, random_unitary
 from fermisep.errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -58,11 +58,8 @@ def test_random_entries_come_out_normalized():
     rng = np.random.default_rng(1)
     basis_size = 20
     entries = []
-    from fermisep.basis import OrbitalBasisIndex
-
-    b = OrbitalBasisIndex(6, 3)
     for k in range(basis_size):
-        entries.append((b.unrank(k), complex(rng.standard_normal(), rng.standard_normal())))
+        entries.append((enumerated_tuples(6, 3)[k], complex(rng.standard_normal(), rng.standard_normal())))
     state = from_coefficients(6, 3, entries)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
@@ -90,8 +87,31 @@ def test_slater_depends_only_on_span():
 
 def test_slater_rejects_dependent_orbitals():
     v = np.array([1, 1, 0, 0], dtype=complex)
-    with pytest.raises(DegenerateOrbitalsError):
-        slater_from_orbitals([v, 2 * v])
+    for scale in (1.0, 1e-200, 1e200):
+        with pytest.raises(DegenerateOrbitalsError):
+            slater_from_orbitals([scale * v, 2 * scale * v])
+
+
+def test_slater_orbitals_of_any_finite_scale():
+    v = np.array([1, 2j, 0, -1], dtype=complex)
+    w = np.array([0, 1, 1 - 1j, 3], dtype=complex)
+    reference = slater_from_orbitals([v, w]).amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in ([1e-200 * v, 1e-200 * w], [1e200 * v, 1e200 * w], [v, 1e-200 * w]):
+            assert np.max(np.abs(slater_from_orbitals(pair).amplitudes - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("d, n", [(6, 3), (8, 4)])
+def test_slater_amplitudes_are_minors_of_cholesky_orthonormalized_orbitals(d, n):
+    # Q = m R^-1 with m^dag m = R^dag R, R upper triangular with a positive
+    # diagonal: the orthonormalization Gram-Schmidt gives, reached without QR.
+    rng = np.random.default_rng([d, n])
+    m = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    r = np.linalg.cholesky(m.conj().T @ m).conj().T
+    q = m @ np.linalg.inv(r)
+    expected = [np.linalg.det(q[list(t), :]) for t in enumerated_tuples(d, n)]
+    assert np.max(np.abs(slater_from_orbitals(m).amplitudes - expected)) <= 1e-12
 
 
 def test_slater_purity_is_inverse_particle_number():
@@ -176,8 +196,8 @@ def test_state_document_matches_unranked_listing():
     sparse[::3] = 0
     for s in (state, FermionState(state.basis, sparse)):
         expected = [
-            {"orbitals": list(s.basis.unrank(k)), "re": float(v.real), "im": float(v.imag)}
-            for k, v in enumerate(s.amplitudes)
+            {"orbitals": list(t), "re": float(v.real), "im": float(v.imag)}
+            for t, v in zip(enumerated_tuples(12, 5), s.amplitudes)
             if v != 0
         ]
         doc = {"d": 12, "n": 5, "amplitudes": expected}
