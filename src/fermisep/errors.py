@@ -5,11 +5,19 @@ class FermisepError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidTupleError(FermisepError, ValueError):
+class _RowError(FermisepError, ValueError):
+    """Fault in one row of a tuple listing; ``row`` is that row's 0-based index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+class InvalidTupleError(_RowError):
     """Orbital tuple is malformed: not strictly increasing, out of range, or wrong length."""
 
 
-class DuplicateEntryError(FermisepError, ValueError):
+class DuplicateEntryError(_RowError):
     """The same orbital tuple appears twice in a coefficient listing."""
 
 
@@ -18,7 +26,7 @@ class ZeroStateError(FermisepError, ValueError):
 
 
 class DegenerateOrbitalsError(FermisepError, ValueError):
-    """Supplied orbitals are linearly dependent."""
+    """Supplied orbitals are linearly dependent or have a non-finite entry."""
 
 
 class DimensionError(FermisepError, ValueError):

@@ -6,11 +6,10 @@ state of Slater rank one the nonzero eigenvalues all equal 1/N; every
 eigenvalue is bounded by 1/N in general.
 
 With Phi[i, S'] the amplitude of a_i |Psi> on the (N-1)-tuple S', the
-marginal is rho_r = Phi Phi^dag / N. Phi is filled from one cached
-annihilation table of C(D,N) N rows, which the single-particle projection in
-the separability module shares. The table is built by vectorized ranking
-of the N-tuples with one column deleted; then O(C(D,N) N) work scatters into
-Phi and one D x D matrix product runs over its C(D,N-1) columns.
+marginal is rho_r = Phi Phi^dag / N. The basis index fills Phi from its one
+cached annihilation table, which the single-particle projection in the
+separability module shares; then one D x D matrix product runs over the
+C(D,N-1) columns of Phi.
 
 The diagonal of rho_r admits a convex decomposition F_i = sum_k d_k f_ik with
 weights d_k = |c_k|^2 and flat occupation distributions f_ik equal to 1/N on
@@ -21,12 +20,9 @@ bound sum_i F_i^2 <= 1/N used by the separability criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex
 from .errors import DimensionError
 from .states import FermionState
 
@@ -101,43 +97,15 @@ class ConvexDecomposition:
         return lhs - rhs
 
 
-@lru_cache(maxsize=64)
-def _annihilation_table(d: int, n: int):
-    """Index arrays of a_i acting on every N-tuple basis state.
-
-    Row (orbital, small, src, sign): annihilating `orbital` from the N-tuple
-    of rank src lands on the (N-1)-tuple of rank small, both in
-    lexicographic order, with the fermionic sign. Each (orbital, small) pair
-    occurs at most once, since the source tuple is small plus orbital.
-    """
-    t = OrbitalBasisIndex(d, n).tuples()
-    # With one particle, every a_i lands on the empty tuple, of rank 0.
-    lower = OrbitalBasisIndex(d, n - 1).ranks if n > 1 else (lambda rows: np.zeros(len(rows), dtype=np.intp))
-    small = np.stack([lower(np.delete(t, m, axis=1)) for m in range(n)], axis=1)
-    size = len(t)
-    return t.reshape(-1), small.reshape(-1), np.repeat(np.arange(size), n), np.tile((-1.0) ** np.arange(n), size)
-
-
-def annihilation_amplitudes(state: FermionState) -> np.ndarray:
-    """D x C(D, N-1) matrix Phi with Phi[i, S'] = <S'| a_i |Psi>.
-
-    Columns follow the lexicographic order of the (N-1)-tuples S'.
-    """
-    orbs, small, src, sign = _annihilation_table(state.d, state.n)
-    phi = np.zeros((state.d, comb(state.d, state.n - 1)), dtype=np.complex128)
-    phi[orbs, small] = sign * state.amplitudes[src]
-    return phi
-
-
 def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     """Single-particle reduced density matrix of a pure N-fermion state.
 
-    rho = Phi Phi^dag / N from annihilation_amplitudes: O(C(D,N) N) work to
-    fill Phi plus one D x D matrix product, never touching the D^N tensor.
+    rho = Phi Phi^dag / N with Phi from OrbitalBasisIndex.annihilate: O(C(D,N) N)
+    work to fill Phi plus one D x D matrix product, never touching the D^N tensor.
     The product is Hermitian up to rounding; averaging it with its adjoint
     makes the result exactly Hermitian.
     """
-    phi = annihilation_amplitudes(state)
+    phi = state.basis.annihilate(state.amplitudes)
     rho = phi @ phi.conj().T / state.n
     return ReducedDensityMatrix(state.d, state.n, (rho + rho.conj().T) / 2)
 

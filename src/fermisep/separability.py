@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import OrbitalBasisIndex
 from .errors import DimensionError, UnsupportedError
-from .rdm import ReducedDensityMatrix, annihilation_amplitudes, compute_rdm
+from .rdm import ReducedDensityMatrix, compute_rdm
 from .spectral import Spectrum, eigenvalues, purity
 from .states import FermionState
 
@@ -160,7 +160,7 @@ def project_single_particle(
     a = np.asarray(direction, dtype=np.complex128).reshape(-1)
     if a.shape != (state.d,):
         raise DimensionError(f"direction must have length {state.d}, got {a.shape[0]}")
-    b = np.conj(a) @ annihilation_amplitudes(state)
+    b = np.conj(a) @ state.basis.annihilate(state.amplitudes)
     norm = float(np.linalg.norm(b))
     if norm <= NULL_PROJECTION_TOL:
         return None, norm

@@ -31,9 +31,10 @@ from .errors import (
     ZeroStateError,
 )
 
-NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DEPENDENCE_TOL = 1e-10
+# Largest d a state file may give: the D x D marginal is 16 d^2 bytes, 64 MiB here.
+MAX_MARGINAL_D = 2048
 
 
 def _scaled_norm(c: np.ndarray) -> tuple[float, float]:
@@ -73,8 +74,7 @@ class FermionState:
         scale, norm = _scaled_norm(c)
         if norm == 0.0 or not np.isfinite(norm):
             raise ZeroStateError("amplitudes have zero or non-finite norm")
-        if abs(scale * norm - 1.0) > NORM_TOL:
-            c = c / scale / norm
+        c = c / scale / norm
         c.flags.writeable = False
         object.__setattr__(self, "amplitudes", c)
 
@@ -127,15 +127,25 @@ def from_coefficients(
     The result is normalized, so the coefficients only need a nonzero norm.
     """
     basis = OrbitalBasisIndex(d, n)
-    c = np.zeros(basis.size, dtype=np.complex128)
-    listed: dict[OrbitalTuple, complex] = {}
-    for orbitals, value in entries:
-        t = basis.validate(orbitals)
-        if t in listed:
-            raise DuplicateEntryError(f"tuple {t} listed twice")
-        listed[t] = value
-    c[basis.ranks(np.reshape(list(listed), (-1, n)))] = list(listed.values())
-    return FermionState(basis, c)
+    return FermionState(basis, _listed_amplitudes(basis, entries))
+
+
+def _listed_amplitudes(basis: OrbitalBasisIndex, entries: list[tuple[OrbitalTuple, complex]]) -> np.ndarray:
+    """Amplitude vector holding each listed value at the rank of its tuple and zero elsewhere.
+
+    InvalidTupleError and DuplicateEntryError name the first bad row.
+    """
+    try:
+        c = np.zeros(basis.size, dtype=np.complex128)
+    except (ValueError, MemoryError) as exc:
+        raise DimensionError(f"C({basis.d}, {basis.n}) amplitudes are too many to allocate") from exc
+    r = basis.ranks([t for t, _ in entries])
+    first = np.unique(r, return_index=True)[1]
+    if len(first) < len(r):
+        k = int(np.setdiff1d(np.arange(len(r)), first)[0])
+        raise DuplicateEntryError(f"row {k}: tuple {tuple(int(x) for x in entries[k][0])} listed twice", row=k)
+    c[r] = [v for _, v in entries]
+    return c
 
 
 def _orthonormalize(columns: np.ndarray) -> np.ndarray:
@@ -148,6 +158,9 @@ def _orthonormalize(columns: np.ndarray) -> np.ndarray:
     """
     m = np.array(columns, dtype=np.complex128)
     scales, norms = np.array([_scaled_norm(col) for col in m.T]).T
+    infinite = np.flatnonzero(~np.isfinite(norms))
+    if infinite.size:
+        raise DegenerateOrbitalsError(f"orbital {infinite[0]} has an infinite or NaN entry")
     q, r = np.linalg.qr(m / scales)
     diag = np.diag(r)
     dependent = np.flatnonzero(np.abs(diag) <= DEPENDENCE_TOL * norms)
@@ -237,27 +250,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_entry(
-    basis: OrbitalBasisIndex, item, idx: int, seen: dict[OrbitalTuple, complex]
-) -> tuple[OrbitalTuple, complex]:
-    """Sorted tuple and coefficient of one amplitude entry of a state file."""
+def _parse_entry(item, idx: int) -> tuple[list[int], complex]:
+    """Orbitals and coefficient of one amplitude entry of a state file, type-checked."""
     if not isinstance(item, dict) or "orbitals" not in item:
         raise StateFormatError(f"amplitude entry {idx} must be an object with orbitals")
     orbitals = item["orbitals"]
     if not isinstance(orbitals, list) or not all(_is_int(x) for x in orbitals):
         raise StateFormatError(f"orbitals must be an array of integers, got {orbitals!r}")
-    try:
-        t = basis.validate(orbitals)
-    except InvalidTupleError as exc:
-        raise StateFormatError(str(exc)) from exc
-    if t in seen:
-        raise StateFormatError(f"tuple {t} listed twice")
     re = item.get("re", 0.0)
     im = item.get("im", 0.0)
     if not all(_is_int(x) or isinstance(x, float) for x in (re, im)):
         raise StateFormatError("re and im must be numbers")
     try:
-        return t, complex(re, im)
+        return orbitals, complex(re, im)
     except OverflowError as exc:
         raise StateFormatError(f"amplitude out of floating-point range: {exc}") from exc
 
@@ -282,26 +287,22 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         raise StateFormatError("d and n must be integers")
     if not isinstance(doc["amplitudes"], list) or not doc["amplitudes"]:
         raise StateFormatError("amplitudes must be a non-empty array")
-    try:
-        basis = OrbitalBasisIndex(doc["d"], doc["n"])
-    except DimensionError as exc:
-        raise StateFormatError(str(exc)) from exc
-
-    try:
-        c = np.zeros(basis.size, dtype=np.complex128)
-    except (ValueError, MemoryError) as exc:
-        raise StateFormatError(
-            f"d={basis.d}, n={basis.n} needs C({basis.d}, {basis.n}) amplitudes, too many to allocate"
-        ) from exc
-    listed: dict[OrbitalTuple, complex] = {}
+    if doc["d"] > MAX_MARGINAL_D:
+        raise StateFormatError(f"d={doc['d']} is more than {MAX_MARGINAL_D}, too large for its d x d marginal")
+    entries = []
     for idx, item in enumerate(doc["amplitudes"]):
         try:
-            t, value = _parse_entry(basis, item, idx, listed)
+            entries.append(_parse_entry(item, idx))
         except StateFormatError as exc:
             # Locating an entry rescans the text, so it is done on failure only.
             raise StateFormatError(str(exc), line=_entry_line(text, idx)) from exc
-        listed[t] = value
-    c[basis.ranks(list(listed))] = list(listed.values())
+    try:
+        basis = OrbitalBasisIndex(doc["d"], doc["n"])
+        c = _listed_amplitudes(basis, entries)
+    except (InvalidTupleError, DuplicateEntryError) as exc:
+        raise StateFormatError(str(exc), line=_entry_line(text, exc.row)) from exc
+    except DimensionError as exc:
+        raise StateFormatError(str(exc)) from exc
 
     scale, norm = _scaled_norm(c)
     if norm == 0.0:
@@ -327,7 +328,7 @@ def state_document(state: FermionState) -> dict:
 
 
 def save_state(state: FermionState, path: str | Path) -> None:
-    """Write a state file that load_state round-trips exactly."""
+    """Write a state file holding every amplitude to the last bit (loading normalizes it again)."""
     from .reporting import render_json
 
     Path(path).write_text(render_json(state_document(state)) + "\n")

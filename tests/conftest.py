@@ -12,9 +12,9 @@ from scipy.stats import unitary_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# State files that are valid JSON but mistyped, too large to hold, or with
-# a norm past the float range; each must be refused with StateFormatError
-# rather than coerced or crashing.
+# State files that are valid JSON but mistyped, too large to hold or to
+# analyze, or with a norm past the float range; each must be refused with
+# StateFormatError rather than coerced or crashing.
 MALFORMED_STATES = {
     "bool-d": '{"d": true, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
     "string-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": "01", "re": 1.0}]}',
@@ -22,6 +22,7 @@ MALFORMED_STATES = {
     "bool-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": true}]}',
     "huge-int-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1' + "0" * 400 + "}]}",
     "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
+    "huge-d": '{"d": 1000000, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
     "overflowing-norm": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.5e308}, {"orbitals": [2, 3], "re": 1.5e308}]}',
 }
 
@@ -57,6 +58,13 @@ def reference_annihilate(t: tuple[int, ...], orbital: int) -> tuple[tuple[int, .
         return None
     m = t.index(orbital)
     return t[:m] + t[m + 1:], -1 if m % 2 else 1
+
+
+def reference_exterior_power(u: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The n-th exterior power of u by its definition: entry [T, S] is the minor
+    det u[T, S], rows and columns in the itertools order of the n-subsets."""
+    tuples = enumerated_tuples(d, n)
+    return np.array([[np.linalg.det(u[np.ix_(t, s)]) for s in tuples] for t in tuples])
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
+from fermisep.basis import _annihilation_table
 from fermisep.cli import main
 from fermisep.oracle import densify, oracle_rdm, sparsify
-from fermisep.rdm import ReducedDensityMatrix, _annihilation_table, compute_rdm, diagonal_decomposition
+from fermisep.rdm import ReducedDensityMatrix, compute_rdm, diagonal_decomposition
 from fermisep.separability import analyze, esbl_check, idempotency_defect
 from fermisep.spectral import eigenvalues, purity, von_neumann_entropy
 from fermisep.states import (

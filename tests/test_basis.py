@@ -91,6 +91,17 @@ def test_invalid_tuples_rejected():
     for rows in ([[1, 1]], [[2, 1]], [[0, 4]], [[-1, 2]], [[0, 1, 2]], [0, 1]):
         with pytest.raises(InvalidTupleError):
             b.ranks(np.array(rows))
+    # The error names the first bad row of a listing, ragged or past int64 too.
+    for rows, row, t in (
+        ([[0, 1], [1, 3], [3, 2], [0, 4]], 2, "(3, 2)"),
+        ([[0, 1], [2, 3, 0], [1]], 1, "(2, 3, 0)"),
+        ([[0, 1], [0, 2**70]], 1, f"(0, {2**70})"),
+    ):
+        with pytest.raises(InvalidTupleError) as err:
+            b.ranks(rows)
+        assert err.value.row == row
+        assert str(err.value) == f"row {row}: {t} is not 2 strictly increasing orbitals in [0, 4)"
+    assert b.ranks([]).tolist() == []
 
 
 def test_dimension_validation():

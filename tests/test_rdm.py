@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerated_tuples, reference_annihilate
-from fermisep.basis import OrbitalBasisIndex
+from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.oracle import densify, oracle_rdm
-from fermisep.rdm import _annihilation_table, compute_rdm, diagonal_decomposition
+from fermisep.rdm import compute_rdm, diagonal_decomposition
 from fermisep.separability import project_single_particle
 from fermisep.states import from_coefficients, load_state, random_slater, random_state
 
@@ -114,14 +114,13 @@ def test_annihilation_table_matches_basis(d, n):
 
     # The (N-1)-sector has the single empty tuple when N = 1.
     lower_rank = OrbitalBasisIndex(d, n - 1).rank if n > 1 else (lambda t: 0)
-    orbs, small, src, sign = _annihilation_table(d, n)
-    assert len(src) == basis.size * n
-    pairs = set()
-    for i, s, k, sgn in zip(orbs, small, src, sign):
-        rest, expected = reference_annihilate(reference[k], i)
-        assert (s, sgn) == (lower_rank(rest), expected)
-        pairs.add((k, i))
-    assert pairs == {(k, i) for k, t in enumerate(basis.tuples()) for i in t}
+    tuples, small = _annihilation_table(d, n)
+    assert tuples.tolist() == [list(t) for t in reference]
+    assert small.shape == (basis.size, n)
+    for k, t in enumerate(reference):
+        for m, i in enumerate(t):
+            rest, expected = reference_annihilate(t, i)
+            assert (small[k, m], (-1) ** m) == (lower_rank(rest), expected)
 
     if n < 2:
         return

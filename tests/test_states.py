@@ -1,5 +1,6 @@
 """Construction, normalization, transformation, and file round-trips of states."""
 
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_STATES, enumerated_tuples, random_unitary
+from conftest import MALFORMED_STATES, enumerated_tuples, random_unitary, reference_exterior_power
 from fermisep.errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -50,8 +51,19 @@ def test_from_coefficients_normalizes_symmetric_pair():
 def test_from_coefficients_rejects_duplicates_and_zero():
     with pytest.raises(DuplicateEntryError):
         from_coefficients(4, 2, [((0, 1), 1.0), ((0, 1), 2.0)])
+    with pytest.raises(DuplicateEntryError, match=r"\(0, 1\)") as err:
+        from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0), ((0, 1), 2.0)])
+    assert err.value.row == 2
     with pytest.raises(ZeroStateError):
         from_coefficients(4, 2, [((0, 1), 0.0)])
+
+
+def test_near_unit_norm_input_is_normalized():
+    # A norm 4.8e-13 off 1 shifts Tr rho^2 by more than e_l of a Slater state.
+    slater = random_slater(12, 5, 1)
+    state = FermionState(slater.basis, slater.amplitudes * (1 + 4.8e-13))
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-15
+    assert analyze(state).e_l >= -1e-15
 
 
 def test_random_entries_come_out_normalized():
@@ -102,6 +114,18 @@ def test_slater_orbitals_of_any_finite_scale():
             assert np.max(np.abs(slater_from_orbitals(pair).amplitudes - reference)) <= 1e-14
 
 
+def test_slater_names_a_non_finite_orbital():
+    v = np.array([1, 2j, 0, -1], dtype=complex)
+    w = np.array([0, 1, 1 - 1j, 3], dtype=complex)
+    with np.errstate(all="ignore"):
+        cases = (([np.inf * v, w], 0), ([v, np.nan * w], 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for orbitals, index in cases:
+            with pytest.raises(DegenerateOrbitalsError, match=f"orbital {index} "):
+                slater_from_orbitals(orbitals)
+
+
 @pytest.mark.parametrize("d, n", [(6, 3), (8, 4)])
 def test_slater_amplitudes_are_minors_of_cholesky_orthonormalized_orbitals(d, n):
     # Q = m R^-1 with m^dag m = R^dag R, R upper triangular with a positive
@@ -143,6 +167,14 @@ def test_exterior_power_is_a_homomorphism(d, n, seed):
     via_two_steps = apply_local_unitary(apply_local_unitary(state, u), v)
     combined = apply_local_unitary(state, LocalUnitary(v.matrix @ u.matrix))
     assert np.max(np.abs(via_two_steps.amplitudes - combined.amplitudes)) <= 1e-9
+
+
+@pytest.mark.parametrize("d, n", [(4, 2), (6, 3), (7, 4)])
+def test_rotation_is_the_exterior_power_by_definition(d, n):
+    u = random_unitary(d, np.random.default_rng([d, n]))
+    state = random_state(d, n, 10 * d + n)
+    rotated = apply_local_unitary(state, LocalUnitary(u)).amplitudes
+    assert np.max(np.abs(rotated - reference_exterior_power(u, d, n) @ state.amplitudes)) <= 1e-12
 
 
 def test_unitary_application_preserves_norm():
@@ -246,6 +278,11 @@ def test_loader_diagnoses_bad_tuple_with_line():
         parse_state(text)
     assert err.value.line == 4
     assert "strictly increasing" in str(err.value)
+    for orbitals in ("[0, 1, 2]", "[0, 100000000000000000000]"):
+        text = '{"d": 4, "n": 2, "amplitudes": [\n {"orbitals": [0, 1]},\n {"orbitals": %s}\n]}' % orbitals
+        with pytest.raises(StateFormatError, match="row 1: ") as err:
+            parse_state(text)
+        assert err.value.line == 3
 
 
 def test_loader_diagnoses_duplicates_and_syntax():
@@ -266,3 +303,45 @@ def test_loader_diagnoses_duplicates_and_syntax():
 def test_loader_rejects_mistyped_and_oversized_input(text):
     with pytest.raises(StateFormatError):
         parse_state(text)
+
+
+# Small state documents: well-typed ones, whose tuples and numbers may
+# still be out of range, repeated or non-finite, and ones with any JSON value
+# where a number, a tuple or an entry belongs.
+json_values = st.none() | st.booleans() | st.integers(-2, 9) | st.just(10**20) | st.floats() | st.text(max_size=3)
+numbers = st.floats() | st.integers(-3, 3)
+
+
+def typed_documents(n: int):
+    entry = st.fixed_dictionaries(
+        {"orbitals": st.sets(st.integers(0, 5), min_size=n, max_size=n).map(sorted)},
+        optional={"re": numbers, "im": numbers},
+    )
+    amplitudes = st.lists(entry, min_size=1, max_size=4)
+    return st.fixed_dictionaries({"d": st.integers(n, 6), "n": st.just(n), "amplitudes": amplitudes})
+
+
+any_entries = st.fixed_dictionaries(
+    {"orbitals": st.lists(st.integers(-1, 6) | st.just(2**64), max_size=4) | json_values},
+    optional={"re": numbers | st.just(10**400) | json_values, "im": json_values},
+) | json_values
+documents = (
+    st.integers(1, 3).flatmap(typed_documents)
+    | st.fixed_dictionaries(
+        {"d": st.integers(1, 6), "n": st.integers(1, 3), "amplitudes": st.lists(any_entries, max_size=3)}
+    )
+    | st.dictionaries(st.sampled_from(["d", "n", "amplitudes"]), json_values | st.just(10**6))
+)
+
+
+@given(st.text(max_size=80) | documents.map(json.dumps))
+@settings(max_examples=200, deadline=None)
+def test_parser_parses_or_refuses_any_text(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state, norm = parse_state(text)
+        except StateFormatError:
+            return
+    assert np.isfinite(norm) and norm > 0
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
