@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from fermisep.reporting import format_float
-from fermisep.separability import analyze
+from fermisep.separability import DEFAULT_TOLERANCE, analyze
 from fermisep.states import random_slater, random_state
 
 FIELDS = [
@@ -33,26 +32,17 @@ FIELDS = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_max: int = 4
-    d_max: int = 8
-    count: int = 50
-    seed: int = 0
-    tolerance: float = 1e-9
-    out: Path = Path("measure_sweep.csv")
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [(n, d) for n in range(2, self.n_max + 1) for d in range(n, self.d_max + 1)]
+def cells(args: argparse.Namespace) -> list[tuple[int, int]]:
+    return [(n, d) for n in range(2, args.n_max + 1) for d in range(n, args.d_max + 1)]
 
 
-def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
+def run_sweep(args: argparse.Namespace) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
-    for n, d in config.cells():
+    for n, d in cells(args):
         for kind, maker in (("random", random_state), ("slater", random_slater)):
-            for i in range(config.count):
-                state = maker(d, n, np.random.SeedSequence([config.seed, n, d, i]))
-                report = analyze(state, tolerance=config.tolerance)
+            for i in range(args.count):
+                state = maker(d, n, np.random.SeedSequence([args.seed, n, d, i]))
+                report = analyze(state, tolerance=args.tolerance)
                 rows.append(
                     {
                         "kind": kind,
@@ -83,9 +73,9 @@ def write_csv(rows: list[dict[str, object]], path: Path, fields: list[str]) -> N
             writer.writerow(rendered)
 
 
-def print_summary(rows: list[dict[str, object]], config: SweepConfig) -> None:
+def print_summary(rows: list[dict[str, object]], args: argparse.Namespace) -> None:
     print(f"{'kind':8} {'n':>2} {'d':>2} {'mean e_l':>12} {'max e_l':>12} {'separable':>9}")
-    for n, d in config.cells():
+    for n, d in cells(args):
         for kind in ("random", "slater"):
             cell = [r for r in rows if r["kind"] == kind and r["n"] == n and r["d"] == d]
             e_l = np.array([r["e_l"] for r in cell])
@@ -98,26 +88,17 @@ def print_summary(rows: list[dict[str, object]], config: SweepConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    defaults = SweepConfig()
-    parser.add_argument("--n-max", type=int, default=defaults.n_max)
-    parser.add_argument("--d-max", type=int, default=defaults.d_max)
-    parser.add_argument("--count", type=int, default=defaults.count, help="states per kind per cell")
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
-    parser.add_argument("--out", type=Path, default=defaults.out)
+    parser.add_argument("--n-max", type=int, default=4)
+    parser.add_argument("--d-max", type=int, default=8)
+    parser.add_argument("--count", type=int, default=50, help="states per kind per cell")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    parser.add_argument("--out", type=Path, default=Path("measure_sweep.csv"))
     args = parser.parse_args(argv)
-    config = SweepConfig(
-        n_max=args.n_max,
-        d_max=args.d_max,
-        count=args.count,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        out=args.out,
-    )
-    rows = run_sweep(config)
-    write_csv(rows, config.out, FIELDS)
-    print_summary(rows, config)
-    print(f"wrote {len(rows)} rows to {config.out}")
+    rows = run_sweep(args)
+    write_csv(rows, args.out, FIELDS)
+    print_summary(rows, args)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

@@ -11,7 +11,6 @@ practice and how the residual margin grows with entanglement.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,24 +22,14 @@ from measure_sweep import write_csv  # the script's own directory is on sys.path
 FIELDS = ["kind", "index", "samples", "agrees", "residual", "null_chains"]
 
 
-@dataclass(frozen=True)
-class ProjectionConfig:
-    d: int = 6
-    n: int = 3
-    states: int = 40
-    seed: int = 0
-    sample_counts: tuple[int, ...] = (1, 2, 4, 8, 16)
-    out: Path = Path("projection_sweep.csv")
-
-
-def run_experiment(config: ProjectionConfig) -> list[dict[str, object]]:
+def run_experiment(args: argparse.Namespace) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
-    for i in range(config.states):
+    for i in range(args.states):
         kind, maker = ("slater", random_slater) if i % 2 else ("random", random_state)
-        state = maker(config.d, config.n, np.random.SeedSequence([config.seed, i]))
+        state = maker(args.d, args.n, np.random.SeedSequence([args.seed, i]))
         truth = analyze(state).separable
-        for samples in config.sample_counts:
-            result = esbl_check(state, samples=samples, seed=config.seed + i)
+        for samples in args.samples:
+            result = esbl_check(state, samples=samples, seed=args.seed + i)
             rows.append(
                 {
                     "kind": kind,
@@ -54,9 +43,9 @@ def run_experiment(config: ProjectionConfig) -> list[dict[str, object]]:
     return rows
 
 
-def print_summary(rows: list[dict[str, object]], config: ProjectionConfig) -> None:
+def print_summary(rows: list[dict[str, object]], args: argparse.Namespace) -> None:
     print(f"{'samples':>7} {'agreement':>10} {'max residual (random)':>22}")
-    for samples in config.sample_counts:
+    for samples in args.samples:
         bucket = [r for r in rows if r["samples"] == samples]
         agree = sum(1 for r in bucket if r["agrees"])
         residuals = [r["residual"] for r in bucket if r["kind"] == "random"]
@@ -65,32 +54,17 @@ def print_summary(rows: list[dict[str, object]], config: ProjectionConfig) -> No
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    defaults = ProjectionConfig()
-    parser.add_argument("--d", type=int, default=defaults.d)
-    parser.add_argument("--n", type=int, default=defaults.n)
-    parser.add_argument("--states", type=int, default=defaults.states)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument(
-        "--samples",
-        type=int,
-        nargs="+",
-        default=list(defaults.sample_counts),
-        help="sample counts to sweep",
-    )
-    parser.add_argument("--out", type=Path, default=defaults.out)
+    parser.add_argument("--d", type=int, default=6)
+    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--states", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, nargs="+", default=[1, 2, 4, 8, 16], help="sample counts to sweep")
+    parser.add_argument("--out", type=Path, default=Path("projection_sweep.csv"))
     args = parser.parse_args(argv)
-    config = ProjectionConfig(
-        d=args.d,
-        n=args.n,
-        states=args.states,
-        seed=args.seed,
-        sample_counts=tuple(args.samples),
-        out=args.out,
-    )
-    rows = run_experiment(config)
-    write_csv(rows, config.out, FIELDS)
-    print_summary(rows, config)
-    print(f"wrote {len(rows)} rows to {config.out}")
+    rows = run_experiment(args)
+    write_csv(rows, args.out, FIELDS)
+    print_summary(rows, args)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

@@ -30,7 +30,7 @@ class DegenerateOrbitalsError(FermisepError, ValueError):
 
 
 class DimensionError(FermisepError, ValueError):
-    """Incompatible dimensions, for example N > D or a matrix of the wrong size."""
+    """Incompatible dimensions or a parameter out of range, for example N > D or a zero tolerance."""
 
 
 class NonUnitaryError(FermisepError, ValueError):

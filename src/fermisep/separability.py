@@ -45,12 +45,14 @@ class SeparabilityReport:
 
     The purity verdict is the primary one; a state is reported separable
     exactly when verdict_purity holds. The entropy verdict uses a tolerance
-    scaled by N because the entropy is flat to second order around the
-    separable point, so eigensolver noise moves it far less than it moves
-    the purity; it corroborates rather than decides. The idempotency verdict
-    checks the max-norm defect of rho^2 - rho/N directly. The spectrum the
-    entropy was computed from is kept for display; it is not part of
-    to_dict().
+    scaled by N; it corroborates rather than decides. The idempotency
+    verdict checks the max-norm defect of rho^2 - rho/N directly. The three
+    verdicts threshold different quantities, so near the tolerance they may
+    disagree: on Slater + eps * random at d=12, n=5, purity and idempotency
+    differ for 6 of 30 log-spaced eps in [1e-5, 1e-4], and the entropy
+    verdict differs from purity for 15 more, since e_vn is 50 to 75 times
+    e_l there. The spectrum the entropy was computed from is kept for
+    display; it is not part of to_dict().
     """
 
     purity: float
@@ -103,8 +105,10 @@ def analyze(
     e_vn, the idempotency defect, and the three verdicts at the given
     tolerance (entropy at tolerance * N, see SeparabilityReport). A caller
     that already has the reduced density matrix may pass it to skip the
-    recomputation.
+    recomputation. The tolerance must be positive and finite.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise DimensionError(f"tolerance must be positive and finite, got {tolerance!r}")
     n = state.n
     rho = compute_rdm(state) if rdm is None else rdm
     p = purity(rho)
@@ -199,10 +203,13 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     single determinant are determinants or zero); entangled states fail a
     random chain with probability one, so a false "entangled" verdict never
     occurs and a false "separable" verdict would need measure-zero sampling
-    degeneracy. For n = 2 no sampling is involved, the rank is read directly.
+    degeneracy. For n = 2 no sampling is involved, the rank is read directly;
+    n = 1 is refused.
     """
     if samples < 1:
         raise DimensionError(f"need at least one sample, got {samples}")
+    if state.n < 2:
+        raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")
     chains = []
     for child in np.random.SeedSequence(seed).spawn(samples if state.n > 2 else 1):
         rng = np.random.default_rng(child)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,8 @@ UNITARY_TOL = 1e-10
 DEPENDENCE_TOL = 1e-10
 # Largest d a state file may give: the D x D marginal is 16 d^2 bytes, 64 MiB here.
 MAX_MARGINAL_D = 2048
+# Whitespace around at most one separator: what lies between two JSON values.
+_JSON_GAP = re.compile(r"[ \t\n\r]*[,:\[{]?[ \t\n\r]*")
 
 
 def _scaled_norm(c: np.ndarray) -> tuple[float, float]:
@@ -224,6 +227,7 @@ def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionS
 
 def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
     """Random Slater-rank-one state from N Gaussian orbitals, orthonormalized."""
+    OrbitalBasisIndex(d, n)  # refuses bad dimensions before numpy sees a negative shape
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
     return slater_from_orbitals(m)
@@ -235,13 +239,27 @@ def haar_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
     return LocalUnitary(_orthonormalize(z))
 
 
-def _entry_line(text: str, index: int) -> int | None:
-    """1-based line of the index-th amplitude entry in a state file."""
-    pos = -1
-    for _ in range(index + 1):
-        pos = text.find('"orbitals"', pos + 1)
-        if pos < 0:
-            return None
+def _entry_line(text: str, index: int) -> int:
+    """1-based line of the index-th amplitude entry of a state file that json.loads accepts.
+
+    Steps over the top-level object and the amplitudes array one decoded value
+    at a time, so nested keys and entries of any type are passed whole.
+    """
+    decode = json.JSONDecoder().raw_decode
+
+    def gap(pos: int) -> int:
+        return _JSON_GAP.match(text, pos).end()
+
+    pos = gap(0)  # past "{"
+    while text[pos] != "}":
+        key, pos = decode(text, pos)
+        pos = gap(pos)  # past ":"
+        if key == "amplitudes":
+            start = pos  # json.loads keeps the last of repeated keys
+        pos = gap(decode(text, pos)[1])  # past ","
+    pos = gap(start)  # past "["
+    for _ in range(index):
+        pos = gap(decode(text, pos)[1])
     return text.count("\n", 0, pos) + 1
 
 
@@ -313,8 +331,12 @@ def parse_state(text: str) -> tuple[FermionState, float]:
 
 
 def load_state(path: str | Path) -> tuple[FermionState, float]:
-    """Read a state file; returns (state, pre-normalization norm)."""
-    return parse_state(Path(path).read_text())
+    """Read a UTF-8 state file; returns (state, pre-normalization norm)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_state(text)
 
 
 def state_document(state: FermionState) -> dict:

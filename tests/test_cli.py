@@ -71,19 +71,57 @@ def test_analyze_malformed_tuple_diagnoses_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def run_child(*argv):
+    """`python -m fermisep ARGV` in a fresh interpreter, so a traceback shows on stderr."""
+    src = str(Path(fermisep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "fermisep", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("text", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys())
 def test_analyze_malformed_input_exits_2_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    src = str(Path(fermisep.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "fermisep", "analyze", str(bad)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_child("analyze", str(bad))
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
+
+
+# Refused invocations; {pair}, {one} and {utf16} name a two-fermion fixture,
+# a one-fermion state file and a UTF-16 file, {out} a directory not yet made.
+REFUSED_CALLS = {
+    "tolerance-nan": "analyze {pair} --tolerance nan",
+    "tolerance-inf": "analyze {pair} --tolerance inf",
+    "tolerance-1e400": "analyze {pair} --tolerance 1e400",
+    "tolerance-0": "analyze {pair} --tolerance 0",
+    "tolerance-negative": "analyze {pair} --tolerance -1",
+    "random-negative-seed": "random --d 4 --n 2 --seed -1 --out {out}",
+    "verify-negative-seed": "verify --d-max 3 --n-max 2 --seed -1",
+    "esbl-negative-seed": "esbl {pair} --seed -1",
+    "random-n-above-d": "random --d 3 --n 4 --out {out}",
+    "random-slater-negative-d": "random --d -1 --n 1 --slater --out {out}",
+    "esbl-one-fermion": "esbl {one}",
+    "analyze-non-utf8": "analyze {utf16}",
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+def test_refused_call_exits_2_without_traceback(tmp_path, fixtures_dir, call):
+    one = tmp_path / "one.json"
+    one.write_text('{"d": 3, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}')
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + one.read_text().encode("utf-16-le"))
+    out = tmp_path / "out"
+    paths = {"pair": fixtures_dir / "localized_pair.json", "one": one, "utf16": utf16, "out": out}
+    done = run_child(*(arg.format(**paths) for arg in call.split()))
+    assert done.returncode == 2
+    assert "error" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_analyze_rejects_bad_tolerance(capsys, fixtures_dir):

@@ -145,6 +145,19 @@ def test_esbl_rejects_bad_sample_count():
         esbl_check(random_state(6, 3, 0), samples=0, seed=0)
 
 
+def test_esbl_refuses_one_fermion():
+    with pytest.raises(UnsupportedError, match="n >= 2"):
+        esbl_check(from_coefficients(3, 1, [((0,), 1.0)]), samples=4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "tolerance", [math.nan, math.inf, float("1e400"), 0.0, -1.0], ids=["nan", "inf", "1e400", "0", "-1"]
+)
+def test_analyze_refuses_tolerance_not_positive_and_finite(tolerance):
+    with pytest.raises(DimensionError, match="tolerance must be positive and finite"):
+        analyze(random_state(4, 2, 0), tolerance=tolerance)
+
+
 @pytest.mark.parametrize("slater", [False, True])
 def test_esbl_agrees_with_purity_verdict(slater):
     maker = random_slater if slater else random_state

@@ -283,6 +283,24 @@ def test_loader_diagnoses_bad_tuple_with_line():
         with pytest.raises(StateFormatError, match="row 1: ") as err:
             parse_state(text)
         assert err.value.line == 3
+    # The line comes from decoding, not from counting "orbitals": an entry
+    # without that key, one that nests it, and a repeated amplitudes key.
+    located = {
+        '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1]},\n5,\n{"orbitals": [0, 2]}]}': 2,
+        '{"d": 4, "n": 2, "amplitudes": [\n{"orbitals": [0, 1], "note": {"orbitals": 1}},\n{"orbitals": [1, 0]}\n]}': 3,
+        '{"amplitudes": [{"orbitals": [0, 1]}],\n"d": 4, "n": 2,\n"amplitudes": [{"orbitals": [0, 1]},\n[1, 0]]}': 4,
+    }
+    for text, line in located.items():
+        with pytest.raises(StateFormatError, match="entry 1|row 1") as err:
+            parse_state(text)
+        assert err.value.line == line
+
+
+def test_load_state_refuses_non_utf8_file(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_bytes(b"\xff\xfe" + '{"d": 2, "n": 1, "amplitudes": [{"orbitals": [0]}]}'.encode("utf-16-le"))
+    with pytest.raises(StateFormatError, match="UTF-8"):
+        load_state(path)
 
 
 def test_loader_diagnoses_duplicates_and_syntax():
