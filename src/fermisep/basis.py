@@ -74,7 +74,7 @@ class OrbitalBasisIndex:
     def tuples(self) -> np.ndarray:
         """All basis tuples as a size x n array, rows in lexicographic (rank) order."""
         flat = chain.from_iterable(combinations(range(self.d), self.n))
-        return np.fromiter(flat, dtype=np.intp, count=self.size * self.n).reshape(self.size, self.n)
+        return _allocated(self, lambda: np.fromiter(flat, np.intp, self.size * self.n).reshape(self.size, self.n))
 
     def annihilate(self, amplitudes: np.ndarray) -> np.ndarray:
         """D x C(D, N-1) matrix Phi with Phi[i, S'] = <S'| a_i |c> for amplitudes c on this basis.
@@ -86,6 +86,14 @@ class OrbitalBasisIndex:
         phi = np.zeros((self.d, comb(self.d, self.n - 1)), dtype=np.complex128)
         phi[t, small] = (-1.0) ** np.arange(self.n) * amplitudes[:, None]
         return phi
+
+
+def _allocated(basis: OrbitalBasisIndex, make):
+    """make(), a basis-sized array, with numpy's refusal to allocate it as DimensionError."""
+    try:
+        return make()
+    except (ValueError, MemoryError) as exc:
+        raise DimensionError(f"C({basis.d}, {basis.n}) basis states are too many to allocate") from exc
 
 
 @lru_cache(maxsize=64)

@@ -38,7 +38,7 @@ class NonUnitaryError(FermisepError, ValueError):
 
 
 class NotADensityMatrixError(FermisepError, ValueError):
-    """Eigenvalues are too negative for numerical noise; the input is not a density matrix."""
+    """The input is not a density matrix: not finite, not Hermitian, or eigenvalues too negative for noise."""
 
 
 class InvalidDistributionError(FermisepError, ValueError):

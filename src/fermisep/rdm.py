@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NotADensityMatrixError
 from .states import FermionState
 
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    """D x D single-particle marginal of an N-fermion pure state, trace 1."""
+    """D x D single-particle marginal of an N-fermion pure state, trace 1, stored as its exact
+    Hermitian part; NotADensityMatrixError if not finite or not Hermitian within 1e-10."""
 
     dim: int
     n: int
@@ -39,11 +40,13 @@ class ReducedDensityMatrix:
         m = np.array(self.entries, dtype=np.complex128)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"expected a {self.dim} x {self.dim} matrix, got {m.shape}")
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+            defect = np.max(np.abs(m - m.conj().T), initial=0.0)
+        if not defect <= 1e-10:
+            raise NotADensityMatrixError(f"matrix is not finite or deviates from Hermitian by {defect:.3e}")
+        m = (m + m.conj().T) / 2
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def trace_defect(self) -> float:
         return abs(float(np.trace(self.entries).real) - 1.0)
@@ -102,12 +105,9 @@ def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
 
     rho = Phi Phi^dag / N with Phi from OrbitalBasisIndex.annihilate: O(C(D,N) N)
     work to fill Phi plus one D x D matrix product, never touching the D^N tensor.
-    The product is Hermitian up to rounding; averaging it with its adjoint
-    makes the result exactly Hermitian.
     """
     phi = state.basis.annihilate(state.amplitudes)
-    rho = phi @ phi.conj().T / state.n
-    return ReducedDensityMatrix(state.d, state.n, (rho + rho.conj().T) / 2)
+    return ReducedDensityMatrix(state.d, state.n, phi @ phi.conj().T / state.n)
 
 
 def diagonal_decomposition(state: FermionState) -> ConvexDecomposition:

@@ -31,22 +31,23 @@ class Spectrum:
         matrix and raises instead of being papered over.
         """
         v = self.values
-        if v.min(initial=0.0) < -HARD_FAIL_TOL:
-            raise NotADensityMatrixError(f"eigenvalue {v.min():.3e} below -{HARD_FAIL_TOL:.0e}")
+        if not -v.min(initial=0.0) <= HARD_FAIL_TOL:  # NaN fails too
+            raise NotADensityMatrixError(f"eigenvalue {v.min():.3e} is NaN or below -{HARD_FAIL_TOL:.0e}")
         return np.where(v < 0.0, 0.0, v)
 
     def entropy(self) -> float:
         """-sum lambda ln lambda over the clamped spectrum, with 0 ln 0 = 0."""
-        lam = self.clamped()
-        positive = lam[lam > 0.0]
-        return float(-(positive @ np.log(positive)))
+        return _entropy(self.clamped())
+
+
+def _entropy(p: np.ndarray) -> float:
+    """-sum p ln p over the positive entries of p, so 0 ln 0 = 0 and clamped noise drops out."""
+    positive = p[p > 0.0]
+    return float(-(positive @ np.log(positive)))
 
 
 def eigenvalues(rdm: ReducedDensityMatrix) -> Spectrum:
-    """Descending real spectrum of a Hermitian reduced density matrix."""
-    defect = rdm.hermiticity_defect()
-    if defect > 1e-10:
-        raise NotADensityMatrixError(f"matrix deviates from Hermitian by {defect:.3e}")
+    """Descending real spectrum of the reduced density matrix, Hermitian by construction."""
     return Spectrum(np.linalg.eigvalsh(rdm.entries))
 
 
@@ -75,11 +76,9 @@ def shannon_entropy(distribution: np.ndarray) -> float:
     sum must be 1 within 1e-9.
     """
     p = np.asarray(distribution, dtype=np.float64)
-    if p.min(initial=0.0) < -1e-12:
-        raise InvalidDistributionError(f"negative probability {p.min():.3e}")
+    if not -p.min(initial=0.0) <= 1e-12:  # NaN fails too
+        raise InvalidDistributionError(f"probability {p.min():.3e} is NaN or negative")
     total = float(p.sum())
-    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+    if not abs(total - 1.0) <= DISTRIBUTION_SUM_TOL:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-    p = np.where(p < 0.0, 0.0, p)
-    positive = p[p > 0.0]
-    return float(-(positive @ np.log(positive)))
+    return _entropy(p)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, OrbitalTuple
+from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated
 from .errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -111,7 +111,7 @@ class LocalUnitary:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionError(f"unitary must be square, got shape {u.shape}")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:  # NaN fails too
             raise NonUnitaryError(f"U^dag U deviates from identity by {defect:.3e}")
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
@@ -138,10 +138,7 @@ def _listed_amplitudes(basis: OrbitalBasisIndex, entries: list[tuple[OrbitalTupl
 
     InvalidTupleError and DuplicateEntryError name the first bad row.
     """
-    try:
-        c = np.zeros(basis.size, dtype=np.complex128)
-    except (ValueError, MemoryError) as exc:
-        raise DimensionError(f"C({basis.d}, {basis.n}) amplitudes are too many to allocate") from exc
+    c = _allocated(basis, lambda: np.zeros(basis.size, dtype=np.complex128))
     r = basis.ranks([t for t, _ in entries])
     first = np.unique(r, return_index=True)[1]
     if len(first) < len(r):
@@ -172,6 +169,11 @@ def _orthonormalize(columns: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def _minors(columns: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """det(columns[T, :]) for every row T of tuples: the N x N minors of a D x N matrix."""
+    return np.linalg.det(columns[tuples, :])
+
+
 def slater_from_orbitals(orbitals: list[np.ndarray] | np.ndarray) -> FermionState:
     """Antisymmetrized product state of N single-particle orbitals.
 
@@ -189,39 +191,29 @@ def slater_from_orbitals(orbitals: list[np.ndarray] | np.ndarray) -> FermionStat
         m = np.asarray(orbitals, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a stack of vectors, got ndim={m.ndim}")
-    d, n = m.shape
-    basis = OrbitalBasisIndex(d, n)
-    q = _orthonormalize(m)
-    c = np.linalg.det(q[basis.tuples(), :])
-    return FermionState(basis, c)
+    basis = OrbitalBasisIndex(*m.shape)
+    return FermionState(basis, _minors(_orthonormalize(m), basis.tuples()))
 
 
 def apply_local_unitary(state: FermionState, u: LocalUnitary) -> FermionState:
     """Rotate every orbital of `state` by the same single-particle unitary.
 
-    The amplitude vector transforms by the N-th exterior power of U: the
-    output coefficient on tuple T is sum over S of det(U[T, S]) times the
-    input coefficient on S, where U[T, S] is the N x N minor with rows T
-    and columns S. Cost O(C(D,N)^2 N^3), fine at desk scale.
+    The amplitude vector transforms by the N-th exterior power of U: the sum over
+    tuples S of c_S times the determinant on the orbitals U[:, S], whose amplitudes
+    are its minors det(U[T, S]) (``_minors``). Cost O(C(D,N)^2 N^3), memory O(C(D,N) N^2).
     """
     if u.d != state.d:
         raise DimensionError(f"unitary is {u.d}-dimensional, state has d={state.d}")
-    basis = state.basis
-    tuples = basis.tuples()
-    out = np.empty(basis.size, dtype=np.complex128)
-    for a in range(basis.size):
-        # minors[b] = U[T_a, S_b]; one stacked determinant call per row T_a
-        # keeps peak memory at O(C(D,N) N^2) instead of O(C(D,N)^2 N^2).
-        minors = u.matrix[tuples[a]][:, tuples].transpose(1, 0, 2)
-        out[a] = np.linalg.det(minors) @ state.amplitudes
-    return FermionState(basis, out)
+    tuples = state.basis.tuples()
+    out = sum(c * _minors(u.matrix[:, s], tuples) for s, c in zip(tuples, state.amplitudes))
+    return FermionState(state.basis, out)
 
 
 def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
     """Haar-like random state: i.i.d. complex Gaussian amplitudes, normalized."""
     rng = np.random.default_rng(seed)
     basis = OrbitalBasisIndex(d, n)
-    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    c = _allocated(basis, lambda: rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
     return FermionState(basis, c)
 
 

@@ -104,6 +104,9 @@ REFUSED_CALLS = {
     "esbl-negative-seed": "esbl {pair} --seed -1",
     "random-n-above-d": "random --d 3 --n 4 --out {out}",
     "random-slater-negative-d": "random --d -1 --n 1 --slater --out {out}",
+    # Bases numpy refuses by arithmetic, before it allocates anything.
+    "random-basis-too-large": "random --d 100000 --n 50000 --out {out}",
+    "random-slater-basis-too-large": "random --d 60 --n 30 --slater --out {out}",
     "esbl-one-fermion": "esbl {one}",
     "analyze-non-utf8": "analyze {utf16}",
 }

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import enumerated_tuples, reference_annihilate
 from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.oracle import densify, oracle_rdm
-from fermisep.rdm import compute_rdm, diagonal_decomposition
+from fermisep.errors import NotADensityMatrixError
+from fermisep.rdm import ReducedDensityMatrix, compute_rdm, diagonal_decomposition
 from fermisep.separability import project_single_particle
 from fermisep.states import from_coefficients, load_state, random_slater, random_state
 
@@ -44,11 +45,23 @@ def test_matches_dense_partial_trace(n, d):
 def test_marginal_invariants(seed):
     state = random_state(6, 3, seed)
     rho = compute_rdm(state)
-    assert rho.hermiticity_defect() <= 1e-12
+    assert np.array_equal(rho.entries, rho.entries.conj().T)
     assert rho.trace_defect() <= 1e-12
     lam = np.linalg.eigvalsh(rho.entries)
     assert lam.min() >= -1e-10
     assert lam.max() <= 1 / 3 + 1e-10
+
+
+def test_marginal_is_stored_as_its_exact_hermitian_part():
+    m = np.array([[0.5, 0.25 + 0.5j], [0.25 - 0.5j + 4e-11j, 0.5 + 3e-11j]])
+    rho = ReducedDensityMatrix(2, 2, m)
+    assert np.array_equal(rho.entries, (m + m.conj().T) / 2)
+    assert np.array_equal(rho.entries, rho.entries.conj().T)
+    far = m.copy()
+    far[1, 0] += 2e-10
+    for bad in (far, np.diag([0.5, np.nan]), np.diag([0.5, np.inf]), np.array([[0.5, np.inf], [np.inf, 0.5]])):
+        with pytest.raises(NotADensityMatrixError):
+            ReducedDensityMatrix(2, 2, bad)
 
 
 def test_single_determinant_weight_is_one_hot():

@@ -84,6 +84,8 @@ def test_spectrum_clamp_threshold():
     assert Spectrum(np.array([0.6, 0.5, -5e-9])).clamped().min() == 0.0
     with pytest.raises(NotADensityMatrixError):
         Spectrum(np.array([0.6, 0.5, -5e-8])).clamped()
+    with pytest.raises(NotADensityMatrixError):
+        Spectrum(np.array([0.5, np.nan])).entropy()
 
 
 def test_shannon_entropy_examples():
@@ -98,6 +100,8 @@ def test_shannon_entropy_validation():
         shannon_entropy(np.array([0.5, 0.4]))
     with pytest.raises(InvalidDistributionError):
         shannon_entropy(np.array([1.1, -0.1]))
+    with pytest.raises(InvalidDistributionError):
+        shannon_entropy(np.array([np.nan, 1.0]))
     # tiny negative noise is clamped
     assert shannon_entropy(np.array([1.0, -1e-13])) == pytest.approx(0.0, abs=1e-12)
 

@@ -188,6 +188,8 @@ def test_unitary_application_preserves_norm():
 def test_unitary_validation():
     with pytest.raises(NonUnitaryError):
         LocalUnitary(np.ones((3, 3)))
+    with pytest.raises(NonUnitaryError):
+        LocalUnitary(np.full((4, 4), np.nan))
     with pytest.raises(DimensionError):
         LocalUnitary(np.ones((2, 3)))
     state = random_state(4, 2, 0)
