@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from fermisep.cli import EXIT_USAGE, _seed
+from fermisep.errors import FermisepError
 from fermisep.reporting import format_float
 from fermisep.separability import DEFAULT_TOLERANCE, analyze
 from fermisep.states import random_slater, random_state
@@ -91,11 +94,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--d-max", type=int, default=8)
     parser.add_argument("--count", type=int, default=50, help="states per kind per cell")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--out", type=Path, default=Path("measure_sweep.csv"))
     args = parser.parse_args(argv)
-    rows = run_sweep(args)
+    if args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
+    try:
+        rows = run_sweep(args)
+    except FermisepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     write_csv(rows, args.out, FIELDS)
     print_summary(rows, args)
     print(f"wrote {len(rows)} rows to {args.out}")

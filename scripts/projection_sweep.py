@@ -11,10 +11,13 @@ practice and how the residual margin grows with entanglement.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from fermisep.cli import EXIT_USAGE, _seed
+from fermisep.errors import FermisepError
 from fermisep.separability import analyze, esbl_check
 from fermisep.states import random_slater, random_state
 from measure_sweep import write_csv  # the script's own directory is on sys.path
@@ -57,11 +60,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--d", type=int, default=6)
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--states", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--samples", type=int, nargs="+", default=[1, 2, 4, 8, 16], help="sample counts to sweep")
     parser.add_argument("--out", type=Path, default=Path("projection_sweep.csv"))
     args = parser.parse_args(argv)
-    rows = run_experiment(args)
+    if args.states < 1:
+        parser.error(f"--states must be at least 1, got {args.states}")
+    try:
+        rows = run_experiment(args)
+    except FermisepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     write_csv(rows, args.out, FIELDS)
     print_summary(rows, args)
     print(f"wrote {len(rows)} rows to {args.out}")

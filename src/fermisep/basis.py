@@ -30,7 +30,7 @@ class OrbitalBasisIndex:
 
     d: number of single-particle orbitals (D).
     n: number of fermions (N), with N <= D.
-    size: C(D, N), the number of basis states.
+    size: C(D, N), the number of basis states, at most 2^63 so that every rank is an intp.
     """
 
     d: int
@@ -42,7 +42,10 @@ class OrbitalBasisIndex:
             raise DimensionError(f"d and n must be positive, got d={self.d}, n={self.n}")
         if self.n > self.d:
             raise DimensionError(f"antisymmetric states need n <= d, got n={self.n} > d={self.d}")
-        object.__setattr__(self, "size", comb(self.d, self.n))
+        size = comb(self.d, self.n)
+        if size - 1 > np.iinfo(np.intp).max:
+            raise DimensionError(f"C({self.d}, {self.n}) basis states are too many to rank as machine integers")
+        object.__setattr__(self, "size", size)
 
     def rank(self, orbitals: OrbitalTuple) -> int:
         """Lexicographic rank of a strictly increasing orbital tuple: a one-row ranks."""
@@ -67,7 +70,7 @@ class OrbitalBasisIndex:
                     message = f"row {k}: {tuple(t)} is not {self.n} strictly increasing orbitals in [0, {self.d})"
                     raise InvalidTupleError(message, row=k)
         # Entry i of a valid tuple is at least i. Below that the binomial is
-        # unreachable and left 0, so every entry fits whenever size does.
+        # unreachable and left 0, so every entry fits since size does.
         terms = [[comb(self.d - 1 - x, self.n - i) if x >= i else 0 for x in range(self.d)] for i in range(self.n)]
         return self.size - 1 - np.array(terms, dtype=np.intp)[np.arange(self.n), t].sum(axis=1)
 

@@ -128,4 +128,4 @@ def oracle_rdm(dense: DenseWavefunction) -> ReducedDensityMatrix:
     trace = float(np.trace(g).real)
     if trace <= 0.0:
         raise DimensionError("cannot normalize the marginal of a zero tensor")
-    return ReducedDensityMatrix(dense.d, dense.n, g / trace)
+    return ReducedDensityMatrix(dense.n, g / trace)

@@ -32,14 +32,13 @@ class ReducedDensityMatrix:
     """D x D single-particle marginal of an N-fermion pure state, trace 1, stored as its exact
     Hermitian part; NotADensityMatrixError if not finite or not Hermitian within 1e-10."""
 
-    dim: int
     n: int
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionError(f"expected a {self.dim} x {self.dim} matrix, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not self.n >= 1:
+            raise DimensionError(f"expected n >= 1 and a non-empty square matrix, got n={self.n!r}, shape {m.shape}")
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
             defect = np.max(np.abs(m - m.conj().T), initial=0.0)
         if not defect <= 1e-10:
@@ -107,7 +106,7 @@ def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     work to fill Phi plus one D x D matrix product, never touching the D^N tensor.
     """
     phi = state.basis.annihilate(state.amplitudes)
-    return ReducedDensityMatrix(state.d, state.n, phi @ phi.conj().T / state.n)
+    return ReducedDensityMatrix(state.n, phi @ phi.conj().T / state.n)
 
 
 def diagonal_decomposition(state: FermionState) -> ConvexDecomposition:

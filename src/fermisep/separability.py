@@ -41,7 +41,7 @@ NULL_PROJECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """All separability diagnostics of one state at one tolerance.
+    """All separability diagnostics of one marginal, with its own N, at one tolerance.
 
     The purity verdict is the primary one; a state is reported separable
     exactly when verdict_purity holds. The entropy verdict uses a tolerance
@@ -87,10 +87,10 @@ class SeparabilityReport:
         }
 
 
-def idempotency_defect(rdm: ReducedDensityMatrix, n: int) -> float:
+def idempotency_defect(rdm: ReducedDensityMatrix) -> float:
     """Max-norm of rho^2 - rho/N; zero exactly when every nonzero eigenvalue is 1/N."""
     rho = rdm.entries
-    return float(np.max(np.abs(rho @ rho - rho / n)))
+    return float(np.max(np.abs(rho @ rho - rho / rdm.n)))
 
 
 def analyze(
@@ -105,16 +105,17 @@ def analyze(
     e_vn, the idempotency defect, and the three verdicts at the given
     tolerance (entropy at tolerance * N, see SeparabilityReport). A caller
     that already has the reduced density matrix may pass it to skip the
-    recomputation. The tolerance must be positive and finite.
+    recomputation; N is then the marginal's own. The tolerance must be
+    positive and finite.
     """
     if not 0.0 < tolerance < math.inf:
         raise DimensionError(f"tolerance must be positive and finite, got {tolerance!r}")
-    n = state.n
     rho = compute_rdm(state) if rdm is None else rdm
+    n = rho.n
     p = purity(rho)
     spectrum = eigenvalues(rho)
     s = spectrum.entropy()
-    defect = idempotency_defect(rho, n)
+    defect = idempotency_defect(rho)
     ln_n = math.log(n)
     return SeparabilityReport(
         purity=p,
@@ -187,11 +188,10 @@ class EsblResult:
 
     separable: bool
     samples: tuple[EsblSample, ...]
-    max_residual: float = field(init=False)
 
-    def __post_init__(self):
-        worst = max((s.residual for s in self.samples), default=0.0)
-        object.__setattr__(self, "max_residual", worst)
+    @property
+    def max_residual(self) -> float:
+        return max((s.residual for s in self.samples), default=0.0)
 
 
 def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblResult:

@@ -1,4 +1,8 @@
-"""Spectral functionals of the single-particle reduced density matrix."""
+"""Spectral functionals of the single-particle reduced density matrix.
+
+A Spectrum refuses NaN, infinite and below -1e-8 eigenvalues when it is built,
+so the entropy and every other reader of its values see only checked ones.
+"""
 
 from __future__ import annotations
 
@@ -21,27 +25,19 @@ class Spectrum:
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=np.float64))[::-1].copy()
+        if not (np.isfinite(v).all() and -v.min(initial=0.0) <= HARD_FAIL_TOL):
+            span = f"{v[-1]:.3e} to {v[0]:.3e}"  # a NaN sorts first, so it shows
+            raise NotADensityMatrixError(f"eigenvalues must be finite and at least -{HARD_FAIL_TOL:.0e}, got {span}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def clamped(self) -> np.ndarray:
-        """Eigenvalues with negative noise (at or above -1e-8) set to zero.
-
-        Anything below that hard threshold means the input was not a density
-        matrix and raises instead of being papered over.
-        """
-        v = self.values
-        if not -v.min(initial=0.0) <= HARD_FAIL_TOL:  # NaN fails too
-            raise NotADensityMatrixError(f"eigenvalue {v.min():.3e} is NaN or below -{HARD_FAIL_TOL:.0e}")
-        return np.where(v < 0.0, 0.0, v)
-
     def entropy(self) -> float:
-        """-sum lambda ln lambda over the clamped spectrum, with 0 ln 0 = 0."""
-        return _entropy(self.clamped())
+        """-sum lambda ln lambda over the positive eigenvalues, with 0 ln 0 = 0."""
+        return _entropy(self.values)
 
 
 def _entropy(p: np.ndarray) -> float:
-    """-sum p ln p over the positive entries of p, so 0 ln 0 = 0 and clamped noise drops out."""
+    """-sum p ln p over the positive entries of p, so 0 ln 0 = 0 and negative noise drops out."""
     positive = p[p > 0.0]
     return float(-(positive @ np.log(positive)))
 

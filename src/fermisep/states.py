@@ -108,8 +108,8 @@ class LocalUnitary:
 
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=np.complex128)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DimensionError(f"unitary must be square, got shape {u.shape}")
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+            raise DimensionError(f"unitary must be square and non-empty, got shape {u.shape}")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
         if not defect <= UNITARY_TOL:  # NaN fails too
             raise NonUnitaryError(f"U^dag U deviates from identity by {defect:.3e}")

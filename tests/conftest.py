@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -9,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
+
+import fermisep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,6 +35,13 @@ MALFORMED_STATES = {
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """`python ARGV` in a fresh interpreter that imports this fermisep, so a traceback shows on stderr."""
+    src = str(Path(fermisep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env, timeout=60)
 
 
 def enumerated_tuples(d: int, n: int) -> list[tuple[int, ...]]:

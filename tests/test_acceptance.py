@@ -167,9 +167,9 @@ def test_08_reference_spectrum_matches_purity_but_not_idempotency():
     rather than 1, so no valid marginal has this spectrum; the matrix is
     evaluated exactly as given."""
     lam = np.array([0.5, 1 / (2 * math.sqrt(2)), 1 / (2 * math.sqrt(2)), 0.0])
-    rho = ReducedDensityMatrix(4, 2, np.diag(lam.astype(complex)))
+    rho = ReducedDensityMatrix(2, np.diag(lam.astype(complex)))
     assert abs(purity(rho) - 0.5) <= 1e-15
-    defect = idempotency_defect(rho, 2)
+    defect = idempotency_defect(rho)
     assert abs(defect - 0.05177669529663689) <= 1e-12
     assert defect > 1e-3
 

@@ -2,16 +2,12 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-import fermisep
-from conftest import MALFORMED_STATES
+from conftest import MALFORMED_STATES, run_python
 import fermisep.cli
 from fermisep.cli import main
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
@@ -73,12 +69,7 @@ def test_analyze_malformed_tuple_diagnoses_line(capsys, tmp_path):
 
 def run_child(*argv):
     """`python -m fermisep ARGV` in a fresh interpreter, so a traceback shows on stderr."""
-    src = str(Path(fermisep.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "fermisep", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return run_python("-m", "fermisep", *argv)
 
 
 @pytest.mark.parametrize("text", MALFORMED_STATES.values(), ids=MALFORMED_STATES.keys())
@@ -104,7 +95,8 @@ REFUSED_CALLS = {
     "esbl-negative-seed": "esbl {pair} --seed -1",
     "random-n-above-d": "random --d 3 --n 4 --out {out}",
     "random-slater-negative-d": "random --d -1 --n 1 --slater --out {out}",
-    # Bases numpy refuses by arithmetic, before it allocates anything.
+    # Bases refused before anything is allocated: past the range of the
+    # ranks, and within it but past what numpy can size.
     "random-basis-too-large": "random --d 100000 --n 50000 --out {out}",
     "random-slater-basis-too-large": "random --d 60 --n 30 --slater --out {out}",
     "esbl-one-fermion": "esbl {one}",
@@ -167,6 +159,13 @@ def test_verify_small_grid_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_default_grid_passes(capsys):
+    # d <= 6, n <= 5, 20 trials per cell: the grid the fast path is held to.
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "all checks passed" in out
+
+
 def test_verify_refuses_oversized_grid(capsys):
     code, _, err = run(capsys, "verify", "--d-max", "20")
     assert code == 2
@@ -180,12 +179,27 @@ def test_verify_detects_injected_corruption(capsys, monkeypatch):
         rho = compute_rdm(state)
         entries = rho.entries.copy()
         entries[0, 0] += 1e-9
-        return ReducedDensityMatrix(rho.dim, rho.n, entries)
+        return ReducedDensityMatrix(rho.n, entries)
 
     monkeypatch.setattr(fermisep.cli, "compute_rdm", corrupted_rdm)
     code, _, err = run(capsys, "verify", "--d-max", "4", "--n-max", "2", "--trials", "2")
     assert code == 1
     assert "fast/oracle marginals differ" in err
+
+
+def test_analyze_exits_4_on_a_marginal_with_a_negative_eigenvalue(capsys, monkeypatch, fixtures_dir):
+    # Shifting the spectrum by -1e-6 leaves the marginal Hermitian, but its
+    # zero eigenvalues fall below the -1e-8 noise threshold.
+    def shifted_rdm(state):
+        rho = compute_rdm(state)
+        return ReducedDensityMatrix(rho.n, rho.entries - 1e-6 * np.eye(state.d))
+
+    monkeypatch.setattr(fermisep.cli, "compute_rdm", shifted_rdm)
+    code, out, err = run(capsys, "analyze", str(fixtures_dir / "localized_pair.json"))
+    assert code == 4
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_esbl_agreement_on_fixtures(capsys, fixtures_dir, tmp_path):

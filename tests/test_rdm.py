@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import enumerated_tuples, reference_annihilate
 from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.oracle import densify, oracle_rdm
-from fermisep.errors import NotADensityMatrixError
+from fermisep.errors import DimensionError, NotADensityMatrixError
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm, diagonal_decomposition
 from fermisep.separability import project_single_particle
 from fermisep.states import from_coefficients, load_state, random_slater, random_state
@@ -54,14 +54,20 @@ def test_marginal_invariants(seed):
 
 def test_marginal_is_stored_as_its_exact_hermitian_part():
     m = np.array([[0.5, 0.25 + 0.5j], [0.25 - 0.5j + 4e-11j, 0.5 + 3e-11j]])
-    rho = ReducedDensityMatrix(2, 2, m)
+    rho = ReducedDensityMatrix(2, m)
     assert np.array_equal(rho.entries, (m + m.conj().T) / 2)
     assert np.array_equal(rho.entries, rho.entries.conj().T)
     far = m.copy()
     far[1, 0] += 2e-10
     for bad in (far, np.diag([0.5, np.nan]), np.diag([0.5, np.inf]), np.array([[0.5, np.inf], [np.inf, 0.5]])):
         with pytest.raises(NotADensityMatrixError):
-            ReducedDensityMatrix(2, 2, bad)
+            ReducedDensityMatrix(2, bad)
+
+
+@pytest.mark.parametrize("n, m", [(2, np.ones((2, 3))), (2, np.ones(4)), (2, np.zeros((0, 0))), (0, np.eye(2) / 2)])
+def test_marginal_refuses_a_bad_shape_or_particle_number(n, m):
+    with pytest.raises(DimensionError):
+        ReducedDensityMatrix(n, m)
 
 
 def test_single_determinant_weight_is_one_hot():

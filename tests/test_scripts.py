@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_python
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -44,3 +46,24 @@ def test_projection_sweep_writes_one_row_per_state_and_count(scripts, tmp_path):
     assert header == projection_sweep.FIELDS
     assert len(rows) == 4 * 2
     assert all(r["agrees"] == "True" for r in rows)
+
+
+REFUSED_CALLS = {
+    "measure-negative-seed": "measure_sweep.py --seed -1",
+    "measure-zero-count": "measure_sweep.py --count 0",
+    "measure-zero-tolerance": "measure_sweep.py --tolerance 0",
+    "projection-negative-seed": "projection_sweep.py --seed -1",
+    "projection-zero-samples": "projection_sweep.py --samples 0",
+    "projection-zero-states": "projection_sweep.py --states 0",
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+def test_refused_arguments_exit_2_without_traceback(tmp_path, call):
+    script, *argv = call.split()
+    out = tmp_path / "out.csv"
+    done = run_python(SCRIPTS / script, *argv, "--out", out)
+    assert done.returncode == 2
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()

@@ -22,7 +22,7 @@ from fermisep.states import from_coefficients, load_state, random_slater, random
 
 
 def diag_rdm(values, n=2):
-    return ReducedDensityMatrix(len(values), n, np.diag(np.asarray(values, dtype=complex)))
+    return ReducedDensityMatrix(n, np.diag(np.asarray(values, dtype=complex)))
 
 
 def test_slater_state_reports_separable():
@@ -52,8 +52,8 @@ def test_two_fermion_e_l_maximum_is_attained_by_flat_spectrum():
 
 
 def test_idempotency_defect_examples():
-    assert idempotency_defect(diag_rdm([0.5, 0.5]), 2) == 0.0
-    assert idempotency_defect(compute_rdm(random_slater(6, 3, 11)), 3) <= 1e-10
+    assert idempotency_defect(diag_rdm([0.5, 0.5])) == 0.0
+    assert idempotency_defect(compute_rdm(random_slater(6, 3, 11))) <= 1e-10
 
 
 def test_reference_spectrum_fails_idempotency_despite_matching_purity():
@@ -69,7 +69,7 @@ def test_reference_spectrum_fails_idempotency_despite_matching_purity():
     lam = [0.5, 1 / (2 * math.sqrt(2)), 1 / (2 * math.sqrt(2)), 0.0]
     rho = diag_rdm(lam)
     assert purity(rho) == pytest.approx(0.5, abs=1e-15)
-    defect = idempotency_defect(rho, 2)
+    defect = idempotency_defect(rho)
     assert defect == pytest.approx(abs(1 / 8 - 1 / (4 * math.sqrt(2))), abs=1e-15)
     assert defect == pytest.approx(0.05177669529663689, abs=1e-12)
     assert defect > 1e-3

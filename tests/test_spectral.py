@@ -21,7 +21,7 @@ from fermisep.states import (
 
 
 def diag_rdm(values, n=2):
-    return ReducedDensityMatrix(len(values), n, np.diag(np.asarray(values, dtype=complex)))
+    return ReducedDensityMatrix(n, np.diag(np.asarray(values, dtype=complex)))
 
 
 def test_eigenvalues_of_diagonal_matrices():
@@ -45,7 +45,7 @@ def test_eigensolver_reconstruction_residual():
 def test_non_hermitian_input_rejected():
     m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
     with pytest.raises(NotADensityMatrixError):
-        eigenvalues(ReducedDensityMatrix(2, 2, m))
+        eigenvalues(ReducedDensityMatrix(2, m))
 
 
 def test_purity_examples():
@@ -79,13 +79,13 @@ def test_entropy_clamps_noise_but_rejects_garbage():
 
 
 def test_spectrum_clamp_threshold():
-    # -5e-9 sits above the hard threshold and is clamped like noise;
-    # -5e-8 is beyond it and must raise.
-    assert Spectrum(np.array([0.6, 0.5, -5e-9])).clamped().min() == 0.0
-    with pytest.raises(NotADensityMatrixError):
-        Spectrum(np.array([0.6, 0.5, -5e-8])).clamped()
-    with pytest.raises(NotADensityMatrixError):
-        Spectrum(np.array([0.5, np.nan])).entropy()
+    # -5e-9 sits above the hard threshold and drops out of the entropy like
+    # noise; -5e-8 is beyond it, and NaN or an infinity is no eigenvalue of
+    # a density matrix, so building the spectrum must raise.
+    assert Spectrum(np.array([0.6, 0.5, -5e-9])).entropy() == Spectrum(np.array([0.6, 0.5, 0.0])).entropy()
+    for bad in ([0.6, 0.5, -5e-8], [0.5, np.nan], [0.5, np.inf], [0.5, -np.inf]):
+        with pytest.raises(NotADensityMatrixError):
+            Spectrum(np.array(bad))
 
 
 def test_shannon_entropy_examples():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_STATES, enumerated_tuples, random_unitary, reference_exterior_power
+from fermisep.basis import OrbitalBasisIndex
 from fermisep.errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -26,6 +27,7 @@ from fermisep.states import (
     LocalUnitary,
     apply_local_unitary,
     from_coefficients,
+    haar_unitary,
     load_state,
     parse_state,
     random_slater,
@@ -192,6 +194,8 @@ def test_unitary_validation():
         LocalUnitary(np.full((4, 4), np.nan))
     with pytest.raises(DimensionError):
         LocalUnitary(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        LocalUnitary(np.zeros((0, 0)))
     state = random_state(4, 2, 0)
     with pytest.raises(DimensionError):
         apply_local_unitary(state, LocalUnitary(np.eye(5)))
@@ -206,6 +210,20 @@ def test_random_generation_is_seed_deterministic():
     s1 = random_slater(6, 3, 123)
     s2 = random_slater(6, 3, 123)
     assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_haar_unitary_is_a_seeded_local_unitary(d):
+    u = haar_unitary(d, np.random.default_rng([d, 5]))
+    assert isinstance(u, LocalUnitary)
+    assert u.d == d
+    assert np.array_equal(u.matrix, haar_unitary(d, np.random.default_rng([d, 5])).matrix)
+
+
+def test_basis_whose_ranks_pass_the_integer_range_is_refused():
+    # C(70, 35) is about 1.1e20, past 2^63, so its ranks cannot be machine integers.
+    with pytest.raises(DimensionError):
+        OrbitalBasisIndex(70, 35)
 
 
 @given(st.integers(0, 2**32 - 1))
