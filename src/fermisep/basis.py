@@ -5,7 +5,8 @@ increasing N-tuple of orbital indices. This module provides the bijection
 between those tuples and dense linear indices in [0, C(D, N)), in
 lexicographic order: ``ranks`` checks tuples and maps them to indices, row k
 of ``tuples()`` is the k-th tuple, and ``annihilate`` applies every a_i.
-No other module ranks tuples.
+No other module ranks tuples. ``tuples()`` is built once per (d, n), cached
+read-only, and is the array the annihilation ranks are computed from.
 
 Orbitals are 0-based everywhere, in code and in file formats.
 """
@@ -74,10 +75,13 @@ class OrbitalBasisIndex:
         terms = [[comb(self.d - 1 - x, self.n - i) if x >= i else 0 for x in range(self.d)] for i in range(self.n)]
         return self.size - 1 - np.array(terms, dtype=np.intp)[np.arange(self.n), t].sum(axis=1)
 
+    @lru_cache(maxsize=64)  # keyed by (d, n, size): equal bases share one array
     def tuples(self) -> np.ndarray:
-        """All basis tuples as a size x n array, rows in lexicographic (rank) order."""
+        """All basis tuples as a size x n array, rows in lexicographic (rank) order; cached, so read-only."""
         flat = chain.from_iterable(combinations(range(self.d), self.n))
-        return _allocated(self, lambda: np.fromiter(flat, np.intp, self.size * self.n).reshape(self.size, self.n))
+        t = _allocated(self, lambda: np.fromiter(flat, np.intp, self.size * self.n).reshape(self.size, self.n))
+        t.flags.writeable = False
+        return t
 
     def annihilate(self, amplitudes: np.ndarray) -> np.ndarray:
         """D x C(D, N-1) matrix Phi with Phi[i, S'] = <S'| a_i |c> for amplitudes c on this basis.
@@ -101,7 +105,7 @@ def _allocated(basis: OrbitalBasisIndex, make):
 
 @lru_cache(maxsize=64)
 def _annihilation_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tuples of the (d, n) basis and small[k, m], the rank of tuple k without its m-th orbital.
+    """The (d, n) basis's own tuples() array and small[k, m], the rank of tuple k without its m-th orbital.
 
     No (orbital, small) pair repeats, since the tuple is the small tuple plus that orbital.
     """

@@ -288,6 +288,8 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise StateFormatError("invalid JSON: nested too deeply to decode") from exc
     if not isinstance(doc, dict):
         raise StateFormatError("top-level value must be an object")
     for key in ("d", "n", "amplitudes"):

@@ -17,9 +17,10 @@ import fermisep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# State files that are valid JSON but mistyped, too large to hold or to
-# analyze, or with a norm past the float range; each must be refused with
-# StateFormatError rather than coerced or crashing.
+# State files that are valid JSON but mistyped, nested deeper than the JSON
+# decoder recurses, too large to hold or to analyze, or with a norm past the
+# float range; each must be refused with StateFormatError rather than coerced
+# or crashing.
 MALFORMED_STATES = {
     "bool-d": '{"d": true, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
     "string-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": "01", "re": 1.0}]}',
@@ -28,6 +29,7 @@ MALFORMED_STATES = {
     "huge-int-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1' + "0" * 400 + "}]}",
     "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
     "huge-d": '{"d": 1000000, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
+    "deep-nesting": '{"d": 4, "n": 2, "amplitudes": ' + "[" * 100000 + "]" * 100000 + "}",
     "overflowing-norm": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.5e308}, {"orbitals": [2, 3], "re": 1.5e308}]}',
 }
 

@@ -16,6 +16,15 @@ def basis_dims(max_d: int = 8):
     )
 
 
+def test_tuples_are_built_once_per_basis_and_read_only():
+    b = OrbitalBasisIndex(6, 3)
+    assert b.tuples() is b.tuples()
+    assert OrbitalBasisIndex(6, 3).tuples() is b.tuples()
+    with pytest.raises(ValueError):
+        b.tuples()[0, 0] = 5
+    assert b.tuples()[0].tolist() == [0, 1, 2]
+
+
 def test_rank_first_and_last():
     b = OrbitalBasisIndex(4, 2)
     assert b.size == 6

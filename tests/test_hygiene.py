@@ -1,4 +1,4 @@
-"""Dead-code checks on the package source: unused imports and unused constants."""
+"""Checks on the package source: unused imports and constants, and one place that enumerates tuples."""
 
 import ast
 import re
@@ -58,3 +58,16 @@ def test_every_package_constant_is_referenced():
                 if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id) and target.id not in referenced:
                     unreferenced.append(f"{path.name}: {target.id}")
     assert unreferenced == []
+
+
+def test_only_the_basis_module_enumerates_tuples():
+    """itertools.combinations appears only in basis.py, which shares one tuple array per basis."""
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            from_import = isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            if from_import and any(a.name == "combinations" for a in node.names):
+                users.append(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "combinations":
+                users.append(path.name)
+    assert set(users) <= {"basis.py"}

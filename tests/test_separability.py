@@ -18,7 +18,7 @@ from fermisep.separability import (
     slater_rank_two_fermions,
 )
 from fermisep.spectral import eigenvalues, purity
-from fermisep.states import from_coefficients, load_state, random_slater, random_state
+from fermisep.states import FermionState, from_coefficients, load_state, random_slater, random_state
 
 
 def diag_rdm(values, n=2):
@@ -190,6 +190,22 @@ def test_measures_nonnegative_and_verdicts_consistent(seed, shape):
     assert report.e_l >= -report.tolerance
     assert report.e_vn >= -report.tolerance
     assert report.verdict_purity == report.verdict_idempotency
+
+
+@pytest.mark.parametrize("d, n", [(8, 4), (12, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_near_separable_measures_are_nonnegative_and_quadratic_in_eps(d, n, seed):
+    """Slater + eps * random: e_l and e_vn stay nonnegative, and e_l / eps^2 stays
+    within 1 % of its value at eps = 1e-3 down to eps = 1e-6 (at 1e-7 rounding
+    moves it by several per cent)."""
+    slater, noise = random_slater(d, n, seed), random_state(d, n, 100 + seed)
+    scaled = {}
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        report = analyze(FermionState(slater.basis, slater.amplitudes + eps * noise.amplitudes))
+        assert report.e_l >= 0.0 and report.e_vn >= 0.0, eps
+        scaled[eps] = report.e_l / eps**2
+    for eps, value in scaled.items():
+        assert value == pytest.approx(scaled[1e-3], rel=1e-2), eps
 
 
 def test_report_serialization_round_trip():
