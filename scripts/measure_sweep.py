@@ -9,15 +9,12 @@ measure grows with d at fixed n) can be read without opening the file.
 from __future__ import annotations
 
 import argparse
-import csv
-import sys
 from pathlib import Path
 
 import numpy as np
 
-from fermisep.cli import EXIT_USAGE, _seed
-from fermisep.errors import FermisepError
-from fermisep.reporting import format_float
+from fermisep.cli import _seed, run_guarded
+from fermisep.reporting import render_csv
 from fermisep.separability import DEFAULT_TOLERANCE, analyze
 from fermisep.states import random_slater, random_state
 
@@ -63,19 +60,6 @@ def run_sweep(args: argparse.Namespace) -> list[dict[str, object]]:
     return rows
 
 
-def write_csv(rows: list[dict[str, object]], path: Path, fields: list[str]) -> None:
-    """Write rows under the given header, floats with 17 significant digits."""
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            rendered = {
-                key: format_float(value) if isinstance(value, float) else value
-                for key, value in row.items()
-            }
-            writer.writerow(rendered)
-
-
 def print_summary(rows: list[dict[str, object]], args: argparse.Namespace) -> None:
     print(f"{'kind':8} {'n':>2} {'d':>2} {'mean e_l':>12} {'max e_l':>12} {'separable':>9}")
     for n, d in cells(args):
@@ -89,6 +73,14 @@ def print_summary(rows: list[dict[str, object]], args: argparse.Namespace) -> No
             )
 
 
+def run(args: argparse.Namespace) -> int:
+    rows = run_sweep(args)
+    args.out.write_text(render_csv(FIELDS, rows), newline="")
+    print_summary(rows, args)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-max", type=int, default=4)
@@ -100,15 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.count < 1:
         parser.error(f"--count must be at least 1, got {args.count}")
-    try:
-        rows = run_sweep(args)
-    except FermisepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    write_csv(rows, args.out, FIELDS)
-    print_summary(rows, args)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return run_guarded(run, args)
 
 
 if __name__ == "__main__":

@@ -11,16 +11,14 @@ practice and how the residual margin grows with entanglement.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 import numpy as np
 
-from fermisep.cli import EXIT_USAGE, _seed
-from fermisep.errors import FermisepError
+from fermisep.cli import _seed, run_guarded
+from fermisep.reporting import render_csv
 from fermisep.separability import analyze, esbl_check
 from fermisep.states import random_slater, random_state
-from measure_sweep import write_csv  # the script's own directory is on sys.path
 
 FIELDS = ["kind", "index", "samples", "agrees", "residual", "null_chains"]
 
@@ -55,6 +53,14 @@ def print_summary(rows: list[dict[str, object]], args: argparse.Namespace) -> No
         print(f"{samples:>7} {agree:>6}/{len(bucket)} {max(residuals):>22.6f}")
 
 
+def run(args: argparse.Namespace) -> int:
+    rows = run_experiment(args)
+    args.out.write_text(render_csv(FIELDS, rows), newline="")
+    print_summary(rows, args)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--d", type=int, default=6)
@@ -66,15 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.states < 1:
         parser.error(f"--states must be at least 1, got {args.states}")
-    try:
-        rows = run_experiment(args)
-    except FermisepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    write_csv(rows, args.out, FIELDS)
-    print_summary(rows, args)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return run_guarded(run, args)
 
 
 if __name__ == "__main__":

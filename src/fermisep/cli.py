@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import FermisepError, NotADensityMatrixError
 from .oracle import densify, oracle_cap, oracle_rdm, sparsify
 from .rdm import compute_rdm, diagonal_decomposition
-from .reporting import format_float, render_csv, render_json
+from .reporting import flatten_report, format_float, render_csv, render_json
 from .separability import DEFAULT_TOLERANCE, analyze, esbl_check
 from .states import load_state, random_slater, random_state, save_state
 
@@ -131,7 +132,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         print(render_json(record))
     elif args.csv:
-        print(render_csv(record), end="")
+        row = flatten_report(record)
+        print(render_csv(list(row), [row]), end="")
     else:
         _print_human(record, args.bits)
     return EXIT_OK
@@ -254,20 +256,20 @@ def cmd_esbl(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
+    """Run a command; a package error or I/O failure prints `error: ...` and becomes its exit code."""
     try:
-        return args.func(args)
-    except NotADensityMatrixError as exc:
+        return command(args)
+    except (FermisepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FermisepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, NotADensityMatrixError):
+            return EXIT_NUMERIC
+        return EXIT_USAGE if isinstance(exc, FermisepError) else EXIT_IO
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_guarded(args.func, args)
 
 
 if __name__ == "__main__":

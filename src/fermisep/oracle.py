@@ -40,12 +40,11 @@ def oracle_cap() -> int:
     return cap
 
 
-def _permutation_signs(n: int) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for perm in permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        out.append((perm, -1 if inversions % 2 else 1))
-    return out
+def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! permutations of range(n) as rows, and their signs (-1)^inversions."""
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    a, b = np.triu_indices(n, 1)
+    return perms, np.where(np.sum(perms[:, a] > perms[:, b], axis=1) % 2, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,10 @@ def densify(state: FermionState) -> DenseWavefunction:
             f"(override with {CAP_ENV_VAR})"
         )
     strides = np.array([d ** (n - 1 - p) for p in range(n)], dtype=np.intp)
+    perms, signs = _permutation_signs(n)
     scale = 1.0 / factorial(n)
     w = np.zeros(d**n, dtype=np.complex128)
-    signs = _permutation_signs(n)
-    for k, t in enumerate(state.basis.tuples()):
-        value = state.amplitudes[k] * scale
-        base = np.array(t, dtype=np.intp)
-        for perm, sign in signs:
-            w[int(strides @ base[list(perm)])] = sign * value
+    w[state.basis.tuples()[:, perms] @ strides] = signs * (state.amplitudes[:, None] * scale)
     return DenseWavefunction(d, n, w)
 
 
@@ -108,11 +103,7 @@ def sparsify(dense: DenseWavefunction) -> FermionState:
     """Inverse of densify: read N! times the entries at sorted tuples."""
     basis = OrbitalBasisIndex(dense.d, dense.n)
     strides = np.array([dense.d ** (dense.n - 1 - p) for p in range(dense.n)], dtype=np.intp)
-    scale = float(factorial(dense.n))
-    c = np.empty(basis.size, dtype=np.complex128)
-    for k, t in enumerate(basis.tuples()):
-        c[k] = dense.tensor[int(strides @ np.array(t, dtype=np.intp))] * scale
-    return FermionState(basis, c)
+    return FermionState(basis, dense.tensor[basis.tuples() @ strides] * float(factorial(dense.n)))
 
 
 def oracle_rdm(dense: DenseWavefunction) -> ReducedDensityMatrix:

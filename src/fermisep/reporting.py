@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable
 from importlib import resources
 
 INDENT = 2
@@ -70,41 +71,33 @@ def _render(obj, level: int):
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def flatten_report(record: dict) -> tuple[list[str], list[str]]:
-    """Flatten a nested analysis record into CSV header and row."""
-    header: list[str] = []
-    row: list[str] = []
-
-    def push(key: str, value):
-        header.append(key)
-        if isinstance(value, bool):
-            row.append("true" if value else "false")
-        elif isinstance(value, float):
-            row.append(format_float(value))
-        else:
-            row.append(str(value))
-
+def flatten_report(record: dict) -> dict:
+    """Flatten a nested analysis record into one CSV row, keyed by column name."""
+    row: dict = {}
     for key, value in record.items():
         if key == "verdicts":
-            for name, verdict in value.items():
-                push(f"verdict_{name}", verdict)
+            row.update((f"verdict_{name}", verdict) for name, verdict in value.items())
         elif key == "spectrum":
-            for i, lam in enumerate(value):
-                push(f"spectrum_{i:02d}", lam)
+            row.update((f"spectrum_{i:02d}", lam) for i, lam in enumerate(value))
         elif key == "timings":
-            for name, ms in value.items():
-                push(name, ms)
+            row.update(value)
         else:
-            push(key, value)
-    return header, row
+            row[key] = value
+    return row
 
 
-def render_csv(record: dict) -> str:
-    header, row = flatten_report(record)
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
+def render_csv(header: list[str], rows: Iterable[dict]) -> str:
+    """A header line, then each row's cells in header order: lower-case booleans, 17-digit floats, bare newlines."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerow(row)
+    writer.writerows([_cell(row[key]) for key in header] for row in rows)
     return buffer.getvalue()
 
 

@@ -47,12 +47,13 @@ class SeparabilityReport:
     exactly when verdict_purity holds. The entropy verdict uses a tolerance
     scaled by N; it corroborates rather than decides. The idempotency
     verdict checks the max-norm defect of rho^2 - rho/N directly. The three
-    verdicts threshold different quantities, so near the tolerance they may
-    disagree: on Slater + eps * random at d=12, n=5, purity and idempotency
-    differ for 6 of 30 log-spaced eps in [1e-5, 1e-4], and the entropy
-    verdict differs from purity for 15 more, since e_vn is 50 to 75 times
-    e_l there. The spectrum the entropy was computed from is kept for
-    display; it is not part of to_dict().
+    verdicts threshold different quantities, but they nest: rho^2 - rho/N is
+    negative semidefinite, so idempotency_defect <= e_l, and Renyi-2 <= von
+    Neumann gives e_vn >= -ln(1 - N e_l) >= N e_l. Hence entropy-separable
+    implies purity-separable implies idempotency-separable; near the
+    tolerance they can only disagree in that direction, the entropy verdict
+    being the strictest. The spectrum the entropy was computed from is kept
+    for display; it is not part of to_dict().
     """
 
     purity: float

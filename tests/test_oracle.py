@@ -1,8 +1,12 @@
 """Dense-tensor cross-check: expansion, antisymmetry, partial trace, caps."""
 
+from itertools import combinations, permutations
+from math import factorial
+
 import numpy as np
 import pytest
 
+from conftest import enumerated_tuples
 from fermisep.errors import ResourceLimitError
 from fermisep.oracle import CAP_ENV_VAR, densify, oracle_cap, oracle_rdm, sparsify
 from fermisep.states import from_coefficients, random_state
@@ -22,6 +26,18 @@ def test_dense_tensor_is_antisymmetric(d, n):
     dense = densify(random_state(d, n, 31))
     assert dense.antisymmetry_defect() <= 1e-15
     assert dense.norm_defect() <= 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (4, 2), (5, 3), (6, 4)])
+def test_densify_matches_the_signed_permutation_sum(d, n):
+    """Every entry, one permutation of one sorted tuple at a time: sign * c_t / N!."""
+    state = random_state(d, n, 5)
+    expected = np.zeros((d,) * n, dtype=np.complex128)
+    for t, c in zip(enumerated_tuples(d, n), state.amplitudes):
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+            expected[tuple(t[p] for p in perm)] = (-1) ** inversions * (c * (1.0 / factorial(n)))
+    assert np.array_equal(densify(state).as_ndarray(), expected)
 
 
 @pytest.mark.parametrize("d, n", [(3, 2), (6, 3), (5, 4)])

@@ -44,16 +44,17 @@ def test_csv_flattening():
         "spectrum": [0.25, 0.25],
         "timings": {"total_ms": 1.5},
     }
-    header, row = flatten_report(record)
-    assert header == [
+    row = flatten_report(record)
+    assert list(row) == [
         "input", "d", "n", "purity",
         "verdict_purity", "verdict_separable",
         "spectrum_00", "spectrum_01", "total_ms",
     ]
-    assert row[0] == "f.json"
-    assert row[4] == "false"
-    text = render_csv(record)
+    text = render_csv(list(row), [row])
     assert text.count("\n") == 2
+    cells = text.splitlines()[1].split(",")
+    assert cells[0] == "f.json"
+    assert cells[4] == "false"
 
 
 def test_schema_ships_with_package():

@@ -12,7 +12,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.fixture
 def scripts(monkeypatch):
-    # The scripts import each other as siblings, as they do when run directly.
+    # The scripts are not a package: import them from their directory, as running them directly does.
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import measure_sweep
     import projection_sweep
@@ -34,7 +34,7 @@ def test_measure_sweep_writes_one_row_per_state(scripts, tmp_path):
     assert header == measure_sweep.FIELDS
     # Cells (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), two kinds, two states each.
     assert len(rows) == 5 * 2 * 2
-    assert all(r["separable"] == "True" for r in rows if r["kind"] == "slater")
+    assert all(r["separable"] == "true" for r in rows if r["kind"] == "slater")
 
 
 def test_projection_sweep_writes_one_row_per_state_and_count(scripts, tmp_path):
@@ -45,7 +45,14 @@ def test_projection_sweep_writes_one_row_per_state_and_count(scripts, tmp_path):
     header, rows = read_csv(out)
     assert header == projection_sweep.FIELDS
     assert len(rows) == 4 * 2
-    assert all(r["agrees"] == "True" for r in rows)
+    assert all(r["agrees"] == "true" for r in rows)
+
+
+def test_measure_sweep_empty_grid_writes_the_header_only(scripts, tmp_path):
+    measure_sweep, _ = scripts
+    out = tmp_path / "measure.csv"
+    assert measure_sweep.main(["--n-max", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (",".join(measure_sweep.FIELDS) + "\n").encode()
 
 
 REFUSED_CALLS = {
@@ -67,3 +74,18 @@ def test_refused_arguments_exit_2_without_traceback(tmp_path, call):
     assert "error:" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+SMALL_CALLS = {
+    "measure": "measure_sweep.py --n-max 2 --d-max 2 --count 1",
+    "projection": "projection_sweep.py --states 1 --samples 1",
+}
+
+
+@pytest.mark.parametrize("call", SMALL_CALLS.values(), ids=SMALL_CALLS.keys())
+def test_unwritable_out_exits_3_without_traceback(tmp_path, call):
+    script, *argv = call.split()
+    done = run_python(SCRIPTS / script, *argv, "--out", tmp_path / "missing" / "out.csv")
+    assert done.returncode == 3
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr

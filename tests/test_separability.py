@@ -182,14 +182,33 @@ def test_squared_concurrence_comparison():
         assert 4 * analyze(state).e_l == pytest.approx(concurrence**2, abs=1e-12)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(4, 2), (6, 3), (8, 4)]))
-@settings(max_examples=25, deadline=None)
-def test_measures_nonnegative_and_verdicts_consistent(seed, shape):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(4, 2), (6, 3), (8, 4)]),
+    st.one_of(st.none(), st.floats(-10, -1).map(lambda x: 10**x)),
+)
+@settings(max_examples=50, deadline=None)
+def test_measures_nonnegative_and_verdicts_consistent(seed, shape, eps):
+    """Random states, or Slater + eps * random. The verdicts nest: rho^2 - rho/N is
+    negative semidefinite, so the idempotency defect is at most e_l, and Renyi-2 <=
+    von Neumann gives e_vn >= N e_l; hence entropy-separable => purity-separable =>
+    idempotency-separable."""
     d, n = shape
-    report = analyze(random_state(d, n, seed))
+    noise = random_state(d, n, seed)
+    if eps is None:
+        state = noise
+    else:
+        slater = random_slater(d, n, seed)
+        state = FermionState(slater.basis, slater.amplitudes + eps * noise.amplitudes)
+    report = analyze(state)
     assert report.e_l >= -report.tolerance
     assert report.e_vn >= -report.tolerance
-    assert report.verdict_purity == report.verdict_idempotency
+    assert report.idempotency_defect <= report.e_l + 1e-14
+    assert report.e_vn >= n * report.e_l - 1e-14
+    assert report.verdict_idempotency or not report.verdict_purity
+    assert report.verdict_purity or not report.verdict_entropy
+    if eps is None:
+        assert report.verdict_purity == report.verdict_idempotency
 
 
 @pytest.mark.parametrize("d, n", [(8, 4), (12, 5)])
