@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fermisep.cli import _seed, run_guarded
+from fermisep.cli import _count, _seed, run_guarded
 from fermisep.reporting import render_csv
 from fermisep.separability import DEFAULT_TOLERANCE, analyze
 from fermisep.states import random_slater, random_state
@@ -85,14 +85,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--d-max", type=int, default=8)
-    parser.add_argument("--count", type=int, default=50, help="states per kind per cell")
+    parser.add_argument("--count", type=_count, default=50, help="states per kind per cell")
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--out", type=Path, default=Path("measure_sweep.csv"))
-    args = parser.parse_args(argv)
-    if args.count < 1:
-        parser.error(f"--count must be at least 1, got {args.count}")
-    return run_guarded(run, args)
+    return run_guarded(run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

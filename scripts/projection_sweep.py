@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fermisep.cli import _seed, run_guarded
+from fermisep.cli import _count, _seed, run_guarded
 from fermisep.reporting import render_csv
 from fermisep.separability import analyze, esbl_check
 from fermisep.states import random_slater, random_state
@@ -65,14 +65,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--d", type=int, default=6)
     parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--states", type=int, default=40)
+    parser.add_argument("--states", type=_count, default=40)
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--samples", type=int, nargs="+", default=[1, 2, 4, 8, 16], help="sample counts to sweep")
+    parser.add_argument("--samples", type=_count, nargs="+", default=[1, 2, 4, 8, 16], help="sample counts to sweep")
     parser.add_argument("--out", type=Path, default=Path("projection_sweep.csv"))
-    args = parser.parse_args(argv)
-    if args.states < 1:
-        parser.error(f"--states must be at least 1, got {args.states}")
-    return run_guarded(run, args)
+    return run_guarded(run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

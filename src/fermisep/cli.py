@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FermisepError, NotADensityMatrixError
-from .oracle import densify, oracle_cap, oracle_rdm, sparsify
+from .oracle import check_cap, densify, oracle_rdm, sparsify
 from .rdm import compute_rdm, diagonal_decomposition
 from .reporting import flatten_report, format_float, render_csv, render_json
 from .separability import DEFAULT_TOLERANCE, analyze, esbl_check
@@ -37,6 +37,13 @@ def _seed(text: str) -> int:
     """argparse type of every --seed flag: numpy seeds are non-negative integers."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _count(text: str) -> int:
+    """argparse type of every count flag: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -63,20 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of fermions")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--slater", action="store_true", help="draw Slater-rank-one states")
-    p.add_argument("--count", type=int, default=1, help="number of files (default 1)")
+    p.add_argument("--count", type=_count, default=1, help="number of files (default 1)")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory (default .)")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify", help="cross-check the fast path against the dense oracle")
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--trials", type=int, default=20, help="states per (n, d) cell (default 20)")
+    p.add_argument("--trials", type=_count, default=20, help="states per (n, d) cell (default 20)")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("esbl", help="randomized projection check vs the purity verdict")
     p.add_argument("path", type=Path, help="JSON state file")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=_count, default=16)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_esbl)
 
@@ -140,9 +147,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_random(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
-        return EXIT_USAGE
     kind, maker = ("slater", random_slater) if args.slater else ("state", random_state)
     for i, child in enumerate(np.random.SeedSequence(args.seed).spawn(args.count)):
         state = maker(args.d, args.n, child)
@@ -200,17 +204,10 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max < 2 or args.d_max < 2 or args.trials < 1:
-        print("error: need --n-max >= 2, --d-max >= 2, --trials >= 1", file=sys.stderr)
+    if args.n_max < 2 or args.d_max < 2:
+        print("error: need --n-max >= 2, --d-max >= 2", file=sys.stderr)
         return EXIT_USAGE
-    cap = oracle_cap()
-    if args.d_max**args.n_max > cap:
-        print(
-            f"error: {args.d_max}^{args.n_max} = {args.d_max ** args.n_max} dense entries "
-            f"exceeds the cap {cap}; lower --d-max/--n-max or raise FERMISEP_ORACLE_CAP",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    check_cap(args.d_max, args.n_max)  # the largest cell of the grid
 
     all_failures: list[str] = []
     print(f"{'n':>2} {'d':>3} {'trials':>6} {'max|fast-oracle|':>17} {'max roundtrip':>14} {'max identity gap':>17}")
@@ -234,9 +231,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_esbl(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return EXIT_USAGE
     state, _ = load_state(args.path)
     result = esbl_check(state, samples=args.samples, seed=args.seed)
     report = analyze(state)

@@ -5,7 +5,8 @@ the representation the rest of the package deliberately avoids. It exists
 only to verify the fast path on small instances and is never part of the
 analysis pipeline. A hard cap on D^N (default 10^6, overridable through the
 FERMISEP_ORACLE_CAP environment variable) guards against accidental
-exponential blow-up.
+exponential blow-up; check_cap is the one place that enforces it, for
+densify and for callers that size a grid of instances up front.
 """
 
 from __future__ import annotations
@@ -38,6 +39,21 @@ def oracle_cap() -> int:
     if cap < 1:
         raise ResourceLimitError(f"{CAP_ENV_VAR} must be positive, got {cap}")
     return cap
+
+
+def check_cap(d: int, n: int) -> None:
+    """Raise ResourceLimitError when a dense D^N tensor would exceed the cap."""
+    cap = oracle_cap()
+    # From d > cap, or d >= 2 and 2^n > cap, d^n is past the cap already; such
+    # sizes are named as d^n, because the power itself can take seconds and be
+    # too long for Python to print.
+    if n >= 1 and (d > cap or (d >= 2 and n >= cap.bit_length())):
+        size = f"{d}^{n}"
+    elif d**n > cap:
+        size = str(d**n)
+    else:
+        return
+    raise ResourceLimitError(f"dense tensor needs {size} entries, above the cap {cap} (override with {CAP_ENV_VAR})")
 
 
 def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,11 +102,7 @@ class DenseWavefunction:
 def densify(state: FermionState) -> DenseWavefunction:
     """Expand a compact state into the full D^N antisymmetric tensor."""
     d, n = state.d, state.n
-    if d**n > oracle_cap():
-        raise ResourceLimitError(
-            f"dense tensor needs {d ** n} entries, above the cap {oracle_cap()} "
-            f"(override with {CAP_ENV_VAR})"
-        )
+    check_cap(d, n)
     strides = np.array([d ** (n - 1 - p) for p in range(n)], dtype=np.intp)
     perms, signs = _permutation_signs(n)
     scale = 1.0 / factorial(n)

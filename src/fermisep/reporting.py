@@ -2,8 +2,10 @@
 
 Reports are replayable: every float is printed with 17 significant digits,
 which round-trips IEEE doubles exactly. The standard json encoder hardcodes
-float repr, so the small renderer here walks the document itself and leans
-on json.dumps only for string escaping.
+float repr, so the small renderer here lays out the document itself and
+writes floats with format_float; every other leaf, empty container and
+one-line integer list goes through json.dumps. CSV cells follow the same
+scalar rule, except that strings are written raw.
 """
 
 from __future__ import annotations
@@ -25,50 +27,26 @@ def format_float(value: float) -> str:
 
 def render_json(obj) -> str:
     """Serialize dicts/lists/scalars to JSON text with 17-digit floats."""
-    return "".join(_render(obj, 0))
+    return _render(obj, 0)
 
 
-def _render(obj, level: int):
-    pad = " " * (INDENT * (level + 1))
-    closing = " " * (INDENT * level)
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        yield "{\n"
-        for i, (key, value) in enumerate(obj.items()):
+def _render(obj, level: int) -> str:
+    if isinstance(obj, dict) and obj:
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            yield pad + json.dumps(key) + ": "
-            yield from _render(value, level + 1)
-            yield ",\n" if i < len(obj) - 1 else "\n"
-        yield closing + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            yield "[]"
-            return
-        if all(isinstance(x, int) and not isinstance(x, bool) for x in obj):
-            # Index tuples read better on one line.
-            yield "[" + ", ".join(str(x) for x in obj) + "]"
-            return
-        yield "[\n"
-        for i, value in enumerate(obj):
-            yield pad
-            yield from _render(value, level + 1)
-            yield ",\n" if i < len(obj) - 1 else "\n"
-        yield closing + "]"
-    elif isinstance(obj, bool):
-        yield "true" if obj else "false"
-    elif isinstance(obj, float):
-        yield format_float(obj)
-    elif isinstance(obj, int):
-        yield str(obj)
-    elif isinstance(obj, str):
-        yield json.dumps(obj)
-    elif obj is None:
-        yield "null"
+        brackets, items = "{}", [json.dumps(key) + ": " + _render(value, level + 1) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)) and not all(isinstance(x, int) and not isinstance(x, bool) for x in obj):
+        brackets, items = "[]", [_render(value, level + 1) for value in obj]
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+        # Leaves, empty containers and index tuples, which read better on one line.
+        return _scalar(obj)
+    pad = "\n" + " " * (INDENT * (level + 1))
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * (INDENT * level) + brackets[1]
+
+
+def _scalar(value) -> str:
+    return format_float(value) if isinstance(value, float) else json.dumps(value)
 
 
 def flatten_report(record: dict) -> dict:
@@ -87,9 +65,7 @@ def flatten_report(record: dict) -> dict:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format_float(value) if isinstance(value, float) else str(value)
+    return value if isinstance(value, str) else _scalar(value)
 
 
 def render_csv(header: list[str], rows: Iterable[dict]) -> str:

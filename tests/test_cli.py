@@ -93,6 +93,10 @@ REFUSED_CALLS = {
     "random-negative-seed": "random --d 4 --n 2 --seed -1 --out {out}",
     "verify-negative-seed": "verify --d-max 3 --n-max 2 --seed -1",
     "esbl-negative-seed": "esbl {pair} --seed -1",
+    "random-zero-count": "random --d 4 --n 2 --count 0 --out {out}",
+    "verify-zero-trials": "verify --d-max 3 --n-max 2 --trials 0",
+    "verify-n-max-past-printable-size": "verify --n-max 6000",
+    "esbl-zero-samples": "esbl {pair} --samples 0",
     "random-n-above-d": "random --d 3 --n 4 --out {out}",
     "random-slater-negative-d": "random --d -1 --n 1 --slater --out {out}",
     # Bases refused before anything is allocated: past the range of the
@@ -216,9 +220,10 @@ def test_esbl_agreement_on_fixtures(capsys, fixtures_dir, tmp_path):
 
 
 def test_esbl_rejects_zero_samples(capsys, fixtures_dir):
-    code, _, err = run(capsys, "esbl", str(fixtures_dir / "split_triple.json"), "--samples", "0")
-    assert code == 2
-    assert "--samples" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["esbl", str(fixtures_dir / "split_triple.json"), "--samples", "0"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):

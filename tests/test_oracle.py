@@ -8,7 +8,7 @@ import pytest
 
 from conftest import enumerated_tuples
 from fermisep.errors import ResourceLimitError
-from fermisep.oracle import CAP_ENV_VAR, densify, oracle_cap, oracle_rdm, sparsify
+from fermisep.oracle import CAP_ENV_VAR, check_cap, densify, oracle_cap, oracle_rdm, sparsify
 from fermisep.states import from_coefficients, random_state
 
 
@@ -64,6 +64,16 @@ def test_cap_blocks_large_instances(monkeypatch):
         densify(random_state(5, 3, 0))  # 5^3 = 125 > 100
     monkeypatch.setenv(CAP_ENV_VAR, "125")
     densify(random_state(5, 3, 0))
+
+
+@pytest.mark.parametrize("d, n", [(6, 10**7), (10**4000, 2), (2, 20)])
+def test_cap_names_sizes_past_it_without_the_power(monkeypatch, d, n):
+    # 6^(10^7) takes seconds to compute and 10^8000 is past Python's limit on
+    # printed integer digits; 2^20 is the first power of two past 10^6.
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    with pytest.raises(ResourceLimitError, match=rf"needs {d}\^{n} entries, above the cap 1000000"):
+        check_cap(d, n)
+    check_cap(d, 0)
 
 
 def test_cap_defaults_and_validation(monkeypatch):

@@ -34,6 +34,47 @@ def test_nested_document_rendering():
     assert "[0, 2]" in text  # integer tuples stay on one line
 
 
+def test_document_layout_is_pinned_byte_for_byte():
+    doc = {
+        "empty_dict": {},
+        "empty_list": [],
+        "orbitals": (0, 2, 5),
+        "spectrum": [0.1, 1.5],
+        "separable": True,
+        "note": None,
+        "input": "\u03c8 \"pair\".json",
+        "nested": {"inner": {"mixed": [1.0, {"flag": False}]}},
+    }
+    assert render_json(doc) == """{
+  "empty_dict": {},
+  "empty_list": [],
+  "orbitals": [0, 2, 5],
+  "spectrum": [
+    0.10000000000000001,
+    1.5
+  ],
+  "separable": true,
+  "note": null,
+  "input": "\\u03c8 \\"pair\\".json",
+  "nested": {
+    "inner": {
+      "mixed": [
+        1,
+        {
+          "flag": false
+        }
+      ]
+    }
+  }
+}"""
+
+
+@pytest.mark.parametrize("doc", [{1: 0.5}, {"x": [0.5, {2: True}]}, object(), {"x": [0.5, object()]}])
+def test_non_string_keys_and_unsupported_leaves_are_rejected(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
+
+
 def test_csv_flattening():
     record = {
         "input": "f.json",
@@ -55,6 +96,11 @@ def test_csv_flattening():
     cells = text.splitlines()[1].split(",")
     assert cells[0] == "f.json"
     assert cells[4] == "false"
+
+
+def test_csv_cells_render_scalars():
+    row = {"flag": True, "count": 3, "value": 0.1, "input": "a b.json"}
+    assert render_csv(list(row), [row]) == "flag,count,value,input\ntrue,3,0.10000000000000001,a b.json\n"
 
 
 def test_schema_ships_with_package():

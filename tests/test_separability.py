@@ -1,6 +1,7 @@
 """Separability verdicts, entanglement measures, and the projection check."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -180,6 +181,34 @@ def test_squared_concurrence_comparison():
         c = state.amplitudes
         concurrence = 2 * abs(c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
         assert 4 * analyze(state).e_l == pytest.approx(concurrence**2, abs=1e-12)
+
+
+def plucker_matrix(state: FermionState) -> np.ndarray:
+    """K = Phi^T Phi+, where Phi[i, S] = <S|a_i|psi> over (N-1)-tuples S and
+    Phi+[i, S] = <S|a_i^dagger|psi> over (N+1)-tuples, both built from
+    itertools. Its entries are the Pluecker relations, so K vanishes exactly
+    on Slater determinants."""
+    d, n = state.d, state.n
+    lower = {s: k for k, s in enumerate(combinations(range(d), n - 1))}
+    upper = {s: k for k, s in enumerate(combinations(range(d), n + 1))}
+    phi = np.zeros((d, len(lower)), dtype=complex)
+    phi_plus = np.zeros((d, len(upper)), dtype=complex)
+    for t, c in zip(combinations(range(d), n), state.amplitudes):
+        for k, i in enumerate(t):
+            phi[i, lower[t[:k] + t[k + 1:]]] = (-1) ** k * c
+        for i in set(range(d)) - set(t):
+            k = sum(x < i for x in t)
+            phi_plus[i, upper[t[:k] + (i,) + t[k:]]] = (-1) ** k * c
+    return phi.T @ phi_plus
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d, n", [(6, 3), (7, 2), (8, 4)])
+def test_e_l_is_the_squared_norm_of_the_plucker_matrix(d, n, seed):
+    # With G_ij = <a_j^dagger a_i> = N rho_ij, ||K||_F^2 = Tr G - Tr G^2 = N^2 e_l.
+    state = random_state(d, n, seed)
+    assert np.sum(np.abs(plucker_matrix(state)) ** 2) == pytest.approx(n**2 * analyze(state).e_l, abs=1e-12)
+    assert np.sum(np.abs(plucker_matrix(random_slater(d, n, seed))) ** 2) <= 1e-28
 
 
 @given(
