@@ -2,7 +2,10 @@
 
 Subcommands: analyze (one state file, full report), random (seeded state-file
 ensembles), verify (fast path against the dense brute-force check), esbl
-(randomized projection criterion against the purity verdict).
+(randomized projection criterion against the purity verdict), measure-sweep
+(e_l and e_vn over random and Slater ensembles per (n, d) cell, as a CSV) and
+projection-sweep (the projection criterion at several sample counts against
+the purity verdict, as a CSV).
 
 Exit codes: 0 ok, 1 check failed, 2 usage or malformed input, 3 I/O failure,
 4 numeric failure.
@@ -14,7 +17,6 @@ import argparse
 import math
 import sys
 import time
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+MEASURE_FIELDS = ["kind", "n", "d", "index", "purity", "entropy_nats", "e_l", "e_vn", "idempotency_defect", "separable"]
+PROJECTION_FIELDS = ["kind", "index", "samples", "agrees", "residual", "null_chains"]
 
 
 def _seed(text: str) -> int:
@@ -86,6 +91,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=16)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_esbl)
+
+    p = sub.add_parser("measure-sweep", help="CSV of the measures over random and Slater states per (n, d) cell")
+    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--d-max", type=int, default=8)
+    p.add_argument("--count", type=_count, default=50, help="states per kind per cell")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--out", type=Path, default=Path("measure_sweep.csv"))
+    p.set_defaults(func=cmd_measure_sweep)
+
+    p = sub.add_parser("projection-sweep", help="CSV of the projection check per sample count vs the purity verdict")
+    p.add_argument("--d", type=int, default=6)
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--states", type=_count, default=40)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_count, nargs="+", default=[1, 2, 4, 8, 16], help="sample counts to sweep")
+    p.add_argument("--out", type=Path, default=Path("projection_sweep.csv"))
+    p.set_defaults(func=cmd_projection_sweep)
 
     return parser
 
@@ -158,6 +181,11 @@ def cmd_random(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cells(n_max: int, d_max: int) -> list[tuple[int, int]]:
+    """The (n, d) grid of verify and measure-sweep: 2 <= n <= n_max, n <= d <= d_max."""
+    return [(n, d) for n in range(2, n_max + 1) for d in range(n, d_max + 1)]
+
+
 def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str]]:
     failures: list[str] = []
     stats = {"oracle": 0.0, "roundtrip": 0.0, "identity": 0.0}
@@ -186,8 +214,11 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
             failures.append(f"{label}: purity {report.purity!r} above 1/{n}")
         if report.entropy < math.log(n) - 1e-8:
             failures.append(f"{label}: entropy {report.entropy!r} below ln {n}")
-        if report.verdict_purity != report.verdict_idempotency:
-            failures.append(f"{label}: purity and idempotency verdicts disagree")
+        # The verdicts nest (see SeparabilityReport); these are the two bounds behind it.
+        if report.idempotency_defect - report.e_l > 1e-14:
+            failures.append(f"{label}: idempotency defect exceeds e_l by {report.idempotency_defect - report.e_l:.3e}")
+        if n * report.e_l - report.e_vn > 1e-14:
+            failures.append(f"{label}: e_vn below {n} * e_l by {n * report.e_l - report.e_vn:.3e}")
         if slater and abs(report.purity - 1.0 / n) > 1e-10:
             failures.append(f"{label}: Slater state purity off by {abs(report.purity - 1 / n):.3e}")
 
@@ -211,15 +242,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     all_failures: list[str] = []
     print(f"{'n':>2} {'d':>3} {'trials':>6} {'max|fast-oracle|':>17} {'max roundtrip':>14} {'max identity gap':>17}")
-    for n in range(2, args.n_max + 1):
-        for d in range(n, args.d_max + 1):
-            stats, failures = _verify_cell(n, d, args.trials, args.seed)
-            all_failures.extend(failures)
-            flag = "" if not failures else "  FAIL"
-            print(
-                f"{n:>2} {d:>3} {args.trials:>6} {stats['oracle']:>17.3e} "
-                f"{stats['roundtrip']:>14.3e} {stats['identity']:>17.3e}{flag}"
-            )
+    for n, d in _cells(args.n_max, args.d_max):
+        stats, failures = _verify_cell(n, d, args.trials, args.seed)
+        all_failures.extend(failures)
+        flag = "" if not failures else "  FAIL"
+        print(
+            f"{n:>2} {d:>3} {args.trials:>6} {stats['oracle']:>17.3e} "
+            f"{stats['roundtrip']:>14.3e} {stats['identity']:>17.3e}{flag}"
+        )
 
     if all_failures:
         print(f"\n{len(all_failures)} check(s) failed:", file=sys.stderr)
@@ -250,20 +280,69 @@ def cmd_esbl(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED
 
 
-def run_guarded(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
-    """Run a command; a package error or I/O failure prints `error: ...` and becomes its exit code."""
+def _write_sweep(out: Path, header: list[str], rows: list[dict], summary: list[str]) -> int:
+    out.write_text(render_csv(header, rows), newline="")
+    print("\n".join(summary))
+    print(f"wrote {len(rows)} rows to {out}")
+    return EXIT_OK
+
+
+def cmd_measure_sweep(args: argparse.Namespace) -> int:
+    rows: list[dict] = []
+    summary = [f"{'kind':8} {'n':>2} {'d':>2} {'mean e_l':>12} {'max e_l':>12} {'separable':>9}"]
+    for n, d in _cells(args.n_max, args.d_max):
+        for kind, maker in (("random", random_state), ("slater", random_slater)):
+            reports = [
+                analyze(maker(d, n, np.random.SeedSequence([args.seed, n, d, i])), tolerance=args.tolerance)
+                for i in range(args.count)
+            ]
+            rows += [
+                {"kind": kind, "n": n, "d": d, "index": i, **r.to_dict(), "separable": r.separable}
+                for i, r in enumerate(reports)
+            ]
+            e_l = np.array([r.e_l for r in reports])
+            found = sum(r.separable for r in reports)
+            summary.append(f"{kind:8} {n:>2} {d:>2} {e_l.mean():>12.6f} {e_l.max():>12.6f} {found:>5}/{len(reports)}")
+    return _write_sweep(args.out, MEASURE_FIELDS, rows, summary)
+
+
+def cmd_projection_sweep(args: argparse.Namespace) -> int:
+    rows: list[dict] = []
+    for i in range(args.states):
+        kind, maker = ("slater", random_slater) if i % 2 else ("random", random_state)
+        state = maker(args.d, args.n, np.random.SeedSequence([args.seed, i]))
+        truth = analyze(state).separable
+        for samples in args.samples:
+            result = esbl_check(state, samples=samples, seed=args.seed + i)
+            rows.append(
+                {
+                    "kind": kind,
+                    "index": i,
+                    "samples": samples,
+                    "agrees": result.separable == truth,
+                    "residual": result.max_residual,
+                    "null_chains": sum(s.null for s in result.samples),
+                }
+            )
+    summary = [f"{'samples':>7} {'agreement':>10} {'max residual (random)':>22}"]
+    for samples in args.samples:
+        bucket = [r for r in rows if r["samples"] == samples]
+        agree = sum(r["agrees"] for r in bucket)
+        residual = max(r["residual"] for r in bucket if r["kind"] == "random")
+        summary.append(f"{samples:>7} {agree:>6}/{len(bucket)} {residual:>22.6f}")
+    return _write_sweep(args.out, PROJECTION_FIELDS, rows, summary)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a package error or I/O failure prints `error: ...` and becomes its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except (FermisepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotADensityMatrixError):
             return EXIT_NUMERIC
         return EXIT_USAGE if isinstance(exc, FermisepError) else EXIT_IO
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_guarded(args.func, args)
 
 
 if __name__ == "__main__":

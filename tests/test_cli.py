@@ -1,5 +1,7 @@
-"""End-to-end command-line behavior: reports, ensembles, verification, exit codes."""
+"""End-to-end command-line behavior: reports, ensembles, verification, sweeps, exit codes."""
 
+import csv
+import dataclasses
 import json
 import math
 
@@ -12,6 +14,7 @@ import fermisep.cli
 from fermisep.cli import main
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import load_report_schema
+from fermisep.separability import analyze
 
 
 def run(capsys, *argv):
@@ -105,6 +108,13 @@ REFUSED_CALLS = {
     "random-slater-basis-too-large": "random --d 60 --n 30 --slater --out {out}",
     "esbl-one-fermion": "esbl {one}",
     "analyze-non-utf8": "analyze {utf16}",
+    "random-non-integer-seed": "random --d 4 --n 2 --seed abc --out {out}",
+    "measure-sweep-negative-seed": "measure-sweep --seed -1 --out {out}",
+    "measure-sweep-zero-count": "measure-sweep --count 0 --out {out}",
+    "measure-sweep-zero-tolerance": "measure-sweep --tolerance 0 --out {out}",
+    "projection-sweep-negative-seed": "projection-sweep --seed -1 --out {out}",
+    "projection-sweep-zero-samples": "projection-sweep --samples 0 --out {out}",
+    "projection-sweep-zero-states": "projection-sweep --states 0 --out {out}",
 }
 
 
@@ -176,6 +186,38 @@ def test_verify_refuses_oversized_grid(capsys):
     assert "cap" in err
 
 
+def verify_with(capsys, monkeypatch, change):
+    """`verify` on a small grid with every report r of an n-fermion state replaced by r with change(r, n)."""
+
+    def changed_analyze(state, rdm):
+        report = analyze(state, rdm=rdm)
+        return dataclasses.replace(report, **change(report, state.n))
+
+    monkeypatch.setattr(fermisep.cli, "analyze", changed_analyze)
+    return run(capsys, "verify", "--d-max", "4", "--n-max", "3", "--trials", "2")
+
+
+def test_verify_accepts_the_verdict_disagreement_the_nesting_allows(capsys, monkeypatch):
+    # Purity-entangled and idempotency-separable can happen near the tolerance.
+    code, out, _ = verify_with(capsys, monkeypatch, lambda r, n: {"verdict_purity": False, "verdict_idempotency": True})
+    assert code == 0
+    assert "all checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda r, n: {"idempotency_defect": r.e_l + 1e-9}, "idempotency defect exceeds e_l"),
+        (lambda r, n: {"e_vn": n * r.e_l - 1e-9}, "e_vn below"),
+    ],
+    ids=["defect-above-e_l", "e_vn-below-n-e_l"],
+)
+def test_verify_fails_a_report_that_breaks_a_nesting_bound(capsys, monkeypatch, change, message):
+    code, _, err = verify_with(capsys, monkeypatch, change)
+    assert code == 1
+    assert message in err
+
+
 def test_verify_detects_injected_corruption(capsys, monkeypatch):
     # A fast path that is off by 1e-9 in one diagonal entry must fail the
     # comparison against the dense oracle.
@@ -230,3 +272,65 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def read_csv(path):
+    with path.open(newline="") as handle:
+        reader = csv.DictReader(handle)
+        return reader.fieldnames, list(reader)
+
+
+def test_measure_sweep_writes_one_row_per_state(capsys, tmp_path):
+    out = tmp_path / "measure.csv"
+    code, stdout, _ = run(capsys, "measure-sweep", "--n-max", "3", "--d-max", "4", "--count", "2", "--out", str(out))
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == fermisep.cli.MEASURE_FIELDS
+    # Cells (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), two kinds, two states each.
+    assert len(rows) == 5 * 2 * 2
+    assert all(r["separable"] == "true" for r in rows if r["kind"] == "slater")
+    lines = stdout.splitlines()
+    assert lines[0].split() == ["kind", "n", "d", "mean", "e_l", "max", "e_l", "separable"]
+    assert len(lines) == 1 + 5 * 2 + 1
+    assert lines[-1] == f"wrote 20 rows to {out}"
+
+
+def test_projection_sweep_writes_one_row_per_state_and_count(capsys, tmp_path):
+    out = tmp_path / "projection.csv"
+    argv = ["--d", "5", "--n", "3", "--states", "4", "--samples", "1", "2", "--out", str(out)]
+    code, stdout, _ = run(capsys, "projection-sweep", *argv)
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == fermisep.cli.PROJECTION_FIELDS
+    assert len(rows) == 4 * 2
+    assert all(r["agrees"] == "true" for r in rows)
+    assert stdout.splitlines()[-1] == f"wrote 8 rows to {out}"
+
+
+def test_projection_sweep_counts_null_chains(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(fermisep.separability, "project_single_particle", lambda state, direction: (None, 0.0))
+    out = tmp_path / "projection.csv"
+    argv = ["--d", "5", "--n", "3", "--states", "2", "--samples", "1", "3", "--out", str(out)]
+    assert run(capsys, "projection-sweep", *argv)[0] == 0
+    _, rows = read_csv(out)
+    assert [(r["samples"], r["null_chains"]) for r in rows] == [("1", "1"), ("3", "3")] * 2
+
+
+def test_measure_sweep_empty_grid_writes_the_header_only(capsys, tmp_path):
+    out = tmp_path / "measure.csv"
+    assert run(capsys, "measure-sweep", "--n-max", "1", "--out", str(out))[0] == 0
+    assert out.read_bytes() == (",".join(fermisep.cli.MEASURE_FIELDS) + "\n").encode()
+
+
+SMALL_SWEEPS = {
+    "measure": "measure-sweep --n-max 2 --d-max 2 --count 1",
+    "projection": "projection-sweep --states 1 --samples 1",
+}
+
+
+@pytest.mark.parametrize("call", SMALL_SWEEPS.values(), ids=SMALL_SWEEPS.keys())
+def test_sweep_to_an_unwritable_out_exits_3_without_traceback(tmp_path, call):
+    done = run_child(*call.split(), "--out", tmp_path / "missing" / "out.csv")
+    assert done.returncode == 3
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,4 +1,4 @@
-"""Checks on the package source: unused imports and constants, and one place that enumerates tuples."""
+"""Checks on the source: unused imports and constants, one place that enumerates tuples, no private imports from outside."""
 
 import ast
 import re
@@ -47,7 +47,7 @@ def test_package_modules_use_every_name_they_import():
 
 def test_every_package_constant_is_referenced():
     referenced = set()
-    for folder in ("src", "tests", "scripts"):
+    for folder in ("src", "tests"):
         for path in (ROOT / folder).rglob("*.py"):
             referenced |= loaded_names(parse(path))
     unreferenced = []
@@ -71,3 +71,35 @@ def test_only_the_basis_module_enumerates_tuples():
             elif isinstance(node, ast.Attribute) and node.attr == "combinations":
                 users.append(path.name)
     assert set(users) <= {"basis.py"}
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_code_outside_the_package_and_its_tests_uses_no_private_fermisep_name():
+    """Tools such as perfbench/ use only the public names, so the package may change its private ones."""
+    uses = []
+    for path in sorted(ROOT.rglob("*.py")):
+        if path.is_relative_to(PACKAGE) or path.is_relative_to(ROOT / "tests"):
+            continue
+        tree = parse(path)
+        bound = set()  # names bound by fermisep imports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fermisep":
+                uses += [f"{path.name}: {node.module}.{a.name}" for a in node.names if private(a.name)]
+                bound.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "fermisep":
+                        bound.add((a.asname or a.name).split(".")[0])
+                        if any(map(private, a.name.split("."))):
+                            uses.append(f"{path.name}: import {a.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in bound:
+                    uses.append(f"{path.name}: {ast.unparse(node)}")
+    assert uses == []

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import enumerated_tuples
-from fermisep.errors import ResourceLimitError
-from fermisep.oracle import CAP_ENV_VAR, check_cap, densify, oracle_cap, oracle_rdm, sparsify
+from fermisep.errors import DimensionError, ResourceLimitError
+from fermisep.oracle import CAP_ENV_VAR, DenseWavefunction, check_cap, densify, oracle_cap, oracle_rdm, sparsify
 from fermisep.states import from_coefficients, random_state
 
 
@@ -55,6 +55,13 @@ def test_oracle_marginal_examples():
     assert np.allclose(
         oracle_rdm(densify(pair)).entries, np.diag([0.25, 0.25, 0.25, 0.25]), atol=1e-14
     )
+
+
+def test_dense_tensor_refuses_a_wrong_size_and_a_zero_marginal():
+    with pytest.raises(DimensionError, match="expected 4 entries"):
+        DenseWavefunction(2, 2, np.zeros(3))
+    with pytest.raises(DimensionError, match="zero tensor"):
+        oracle_rdm(DenseWavefunction(2, 2, np.zeros(4)))
 
 
 def test_cap_blocks_large_instances(monkeypatch):

@@ -9,7 +9,7 @@ from conftest import enumerated_tuples, reference_annihilate
 from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.oracle import densify, oracle_rdm
 from fermisep.errors import DimensionError, NotADensityMatrixError
-from fermisep.rdm import ReducedDensityMatrix, compute_rdm, diagonal_decomposition
+from fermisep.rdm import ConvexDecomposition, ReducedDensityMatrix, compute_rdm, diagonal_decomposition
 from fermisep.separability import project_single_particle
 from fermisep.states import from_coefficients, load_state, random_slater, random_state
 
@@ -68,6 +68,11 @@ def test_marginal_is_stored_as_its_exact_hermitian_part():
 def test_marginal_refuses_a_bad_shape_or_particle_number(n, m):
     with pytest.raises(DimensionError):
         ReducedDensityMatrix(n, m)
+
+
+def test_decomposition_refuses_weights_and_distributions_of_different_lengths():
+    with pytest.raises(DimensionError, match="3 weights but 2 distributions"):
+        ConvexDecomposition(np.ones(3) / 3, np.ones((2, 4)) / 4)
 
 
 def test_single_determinant_weight_is_one_hot():

@@ -12,6 +12,7 @@ from fermisep import separability
 from fermisep.errors import DimensionError, UnsupportedError
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.separability import (
+    EsblSample,
     analyze,
     esbl_check,
     idempotency_defect,
@@ -139,6 +140,13 @@ def test_esbl_reads_one_spectrum_per_chain(monkeypatch):
     result = esbl_check(random_state(8, 4, 2), samples=16, seed=0)
     assert len(result.samples) == 16 and not any(s.null for s in result.samples)
     assert calls == [2] * 16
+
+
+def test_esbl_counts_a_null_projection_as_a_separable_chain(monkeypatch):
+    monkeypatch.setattr(separability, "project_single_particle", lambda state, direction: (None, 0.0))
+    result = esbl_check(random_state(6, 3, 0), samples=2, seed=0)
+    assert result.separable
+    assert result.samples == (EsblSample((0.0,), 0.0, True, True),) * 2
 
 
 def test_esbl_rejects_bad_sample_count():

@@ -106,6 +106,13 @@ def test_slater_rejects_dependent_orbitals():
             slater_from_orbitals([scale * v, 2 * scale * v])
 
 
+def test_constructors_refuse_a_wrong_shape():
+    with pytest.raises(DimensionError, match="expected 6 amplitudes"):
+        FermionState(OrbitalBasisIndex(4, 2), np.ones(5))
+    with pytest.raises(DimensionError, match="stack of vectors"):
+        slater_from_orbitals(np.zeros(3))
+
+
 def test_slater_orbitals_of_any_finite_scale():
     v = np.array([1, 2j, 0, -1], dtype=complex)
     w = np.array([0, 1, 1 - 1j, 3], dtype=complex)
@@ -331,6 +338,8 @@ def test_loader_diagnoses_duplicates_and_syntax():
 
     with pytest.raises(StateFormatError):
         parse_state("{not json")
+    with pytest.raises(StateFormatError, match="top-level value must be an object"):
+        parse_state("[1, 2]")
     with pytest.raises(StateFormatError):
         parse_state('{"d": 4, "n": 2}')
     with pytest.raises(StateFormatError):
