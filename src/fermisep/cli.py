@@ -17,15 +17,16 @@ import argparse
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FermisepError, NotADensityMatrixError
-from .oracle import check_cap, densify, oracle_rdm, sparsify
+from .errors import DimensionError, FermisepError, NotADensityMatrixError
+from .oracle import check_cap, densify, oracle_rdm, pairwise_identity_gap, sparsify
 from .rdm import compute_rdm, diagonal_decomposition
 from .reporting import flatten_report, format_float, render_csv, render_json
-from .separability import DEFAULT_TOLERANCE, analyze, esbl_check
+from .separability import DEFAULT_TOLERANCE, analyze, check_tolerance, esbl_check
 from .states import load_state, random_slater, random_state, save_state
 
 EXIT_OK = 0
@@ -36,6 +37,8 @@ EXIT_NUMERIC = 4
 
 MEASURE_FIELDS = ["kind", "n", "d", "index", "purity", "entropy_nats", "e_l", "e_vn", "idempotency_defect", "separable"]
 PROJECTION_FIELDS = ["kind", "index", "samples", "agrees", "residual", "null_chains"]
+# verify's table shows the largest deviation per cell of these checks.
+TABLE_CHECKS = ["fast/oracle marginal difference", "dense round-trip difference", "|identity gap|"]
 
 
 def _seed(text: str) -> int:
@@ -110,6 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=Path("projection_sweep.csv"))
     p.set_defaults(func=cmd_projection_sweep)
 
+    # Prefixes are refused, or `measure-sweep --d 4` would run as `--d-max 4`.
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
     return parser
 
 
@@ -187,74 +193,49 @@ def _cells(n_max: int, d_max: int) -> list[tuple[int, int]]:
 
 
 def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str]]:
+    worst = dict.fromkeys(TABLE_CHECKS, 0.0)
     failures: list[str] = []
-    stats = {"oracle": 0.0, "roundtrip": 0.0, "identity": 0.0}
-
     for trial in range(trials):
-        label = f"n={n} d={d} trial={trial} seed={seed}"
         slater = trial % 2 == 1
-        maker = random_slater if slater else random_state
-        state = maker(d, n, np.random.SeedSequence([seed, n, d, trial]))
-
-        rho = compute_rdm(state)
-        dense = densify(state)
-        oracle = oracle_rdm(dense)
-        dev = float(np.max(np.abs(rho.entries - oracle.entries)))
-        stats["oracle"] = max(stats["oracle"], dev)
-        if dev > 1e-12:
-            failures.append(f"{label}: fast/oracle marginals differ by {dev:.3e}")
-
-        roundtrip = float(np.max(np.abs(sparsify(dense).amplitudes - state.amplitudes)))
-        stats["roundtrip"] = max(stats["roundtrip"], roundtrip)
-        if roundtrip > 1e-14:
-            failures.append(f"{label}: dense round-trip differs by {roundtrip:.3e}")
-
+        state = (random_slater if slater else random_state)(d, n, np.random.SeedSequence([seed, n, d, trial]))
+        rho, dense, dec = compute_rdm(state), densify(state), diagonal_decomposition(state)
         report = analyze(state, rdm=rho)
-        if report.purity > 1.0 / n + 1e-12:
-            failures.append(f"{label}: purity {report.purity!r} above 1/{n}")
-        if report.entropy < math.log(n) - 1e-8:
-            failures.append(f"{label}: entropy {report.entropy!r} below ln {n}")
-        # The verdicts nest (see SeparabilityReport); these are the two bounds behind it.
-        if report.idempotency_defect - report.e_l > 1e-14:
-            failures.append(f"{label}: idempotency defect exceeds e_l by {report.idempotency_defect - report.e_l:.3e}")
-        if n * report.e_l - report.e_vn > 1e-14:
-            failures.append(f"{label}: e_vn below {n} * e_l by {n * report.e_l - report.e_vn:.3e}")
-        if slater and abs(report.purity - 1.0 / n) > 1e-10:
-            failures.append(f"{label}: Slater state purity off by {abs(report.purity - 1 / n):.3e}")
-
-        dec = diagonal_decomposition(state)
-        gap = abs(dec.pairwise_identity_gap())
-        stats["identity"] = max(stats["identity"], gap)
-        if gap > 1e-10:
-            failures.append(f"{label}: diagonal decomposition identity gap {gap:.3e}")
-        diag_dev = float(np.max(np.abs(dec.diagonal - np.diag(rho.entries).real)))
-        if diag_dev > 1e-12:
-            failures.append(f"{label}: decomposition diagonal off by {diag_dev:.3e}")
-
-    return stats, failures
+        # (check, deviation, bound); every deviation is at most 0 in exact arithmetic.
+        for check, deviation, bound in [
+            (TABLE_CHECKS[0], float(np.max(np.abs(rho.entries - oracle_rdm(dense).entries))), 1e-12),
+            (TABLE_CHECKS[1], float(np.max(np.abs(sparsify(dense).amplitudes - state.amplitudes))), 1e-14),
+            ("purity - 1/n", report.purity - 1.0 / n, 1e-12),
+            ("ln n - entropy", math.log(n) - report.entropy, 1e-8),
+            # The verdicts nest (see SeparabilityReport); these are the two bounds behind it.
+            ("idempotency defect - e_l", report.idempotency_defect - report.e_l, 1e-14),
+            ("n * e_l - e_vn", n * report.e_l - report.e_vn, 1e-14),
+            (TABLE_CHECKS[2], abs(pairwise_identity_gap(dec)), 1e-10),
+            ("decomposition diagonal", float(np.max(np.abs(dec.diagonal - np.diag(rho.entries).real))), 1e-12),
+            ("Slater |purity - 1/n|", abs(report.purity - 1.0 / n) if slater else 0.0, 1e-10),
+        ]:
+            if check in worst:
+                worst[check] = max(worst[check], deviation)
+            if not deviation <= bound:  # so that NaN fails too
+                failures.append(f"n={n} d={d} trial={trial} seed={seed}: {check} is {deviation:.3e}, not <= {bound:g}")
+    return worst, failures
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 2 or args.d_max < 2:
-        print("error: need --n-max >= 2, --d-max >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise DimensionError("need --n-max >= 2, --d-max >= 2")
     check_cap(args.d_max, args.n_max)  # the largest cell of the grid
 
     all_failures: list[str] = []
     print(f"{'n':>2} {'d':>3} {'trials':>6} {'max|fast-oracle|':>17} {'max roundtrip':>14} {'max identity gap':>17}")
     for n, d in _cells(args.n_max, args.d_max):
-        stats, failures = _verify_cell(n, d, args.trials, args.seed)
+        worst, failures = _verify_cell(n, d, args.trials, args.seed)
         all_failures.extend(failures)
+        oracle, roundtrip, identity = worst.values()
         flag = "" if not failures else "  FAIL"
-        print(
-            f"{n:>2} {d:>3} {args.trials:>6} {stats['oracle']:>17.3e} "
-            f"{stats['roundtrip']:>14.3e} {stats['identity']:>17.3e}{flag}"
-        )
+        print(f"{n:>2} {d:>3} {args.trials:>6} {oracle:>17.3e} {roundtrip:>14.3e} {identity:>17.3e}{flag}")
 
     if all_failures:
-        print(f"\n{len(all_failures)} check(s) failed:", file=sys.stderr)
-        for line in all_failures:
-            print(f"  {line}", file=sys.stderr)
+        print(f"\n{len(all_failures)} check(s) failed:", *all_failures, sep="\n  ", file=sys.stderr)
         return EXIT_CHECK_FAILED
     print("\nall checks passed")
     return EXIT_OK
@@ -280,57 +261,61 @@ def cmd_esbl(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _write_sweep(out: Path, header: list[str], rows: list[dict], summary: list[str]) -> int:
-    out.write_text(render_csv(header, rows), newline="")
+@contextmanager
+def _sweep(out: Path, header: list[str]):
+    """Yield the (rows, summary) lists for a sweep to fill, with `out` open already, so that an unwritable
+    path fails before the first state is drawn; then write the CSV, print the summary and the row count.
+    A sweep that raises leaves no file behind."""
+    rows: list[dict] = []
+    summary: list[str] = []
+    with out.open("w", newline="") as handle:
+        try:
+            yield rows, summary
+        except BaseException:
+            out.unlink()
+            raise
+        handle.write(render_csv(header, rows))
     print("\n".join(summary))
     print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
 
 
 def cmd_measure_sweep(args: argparse.Namespace) -> int:
-    rows: list[dict] = []
-    summary = [f"{'kind':8} {'n':>2} {'d':>2} {'mean e_l':>12} {'max e_l':>12} {'separable':>9}"]
-    for n, d in _cells(args.n_max, args.d_max):
-        for kind, maker in (("random", random_state), ("slater", random_slater)):
-            reports = [
-                analyze(maker(d, n, np.random.SeedSequence([args.seed, n, d, i])), tolerance=args.tolerance)
-                for i in range(args.count)
-            ]
-            rows += [
-                {"kind": kind, "n": n, "d": d, "index": i, **r.to_dict(), "separable": r.separable}
-                for i, r in enumerate(reports)
-            ]
-            e_l = np.array([r.e_l for r in reports])
-            found = sum(r.separable for r in reports)
-            summary.append(f"{kind:8} {n:>2} {d:>2} {e_l.mean():>12.6f} {e_l.max():>12.6f} {found:>5}/{len(reports)}")
-    return _write_sweep(args.out, MEASURE_FIELDS, rows, summary)
+    check_tolerance(args.tolerance)  # before --out is opened, and for an empty grid too
+    with _sweep(args.out, MEASURE_FIELDS) as (rows, summary):
+        summary.append(f"{'kind':8} {'n':>2} {'d':>2} {'mean e_l':>12} {'max e_l':>12} {'separable':>9}")
+        for n, d in _cells(args.n_max, args.d_max):
+            for kind, maker in (("random", random_state), ("slater", random_slater)):
+                reports = [
+                    analyze(maker(d, n, np.random.SeedSequence([args.seed, n, d, i])), tolerance=args.tolerance)
+                    for i in range(args.count)
+                ]
+                rows += [
+                    {"kind": kind, "n": n, "d": d, "index": i, **r.to_dict(), "separable": r.separable}
+                    for i, r in enumerate(reports)
+                ]
+                e_l = np.array([r.e_l for r in reports])
+                found = sum(r.separable for r in reports)
+                summary.append(f"{kind:8} {n:>2} {d:>2} {e_l.mean():>12.6f} {e_l.max():>12.6f} {found:>5}/{args.count}")
+    return EXIT_OK
 
 
 def cmd_projection_sweep(args: argparse.Namespace) -> int:
-    rows: list[dict] = []
-    for i in range(args.states):
-        kind, maker = ("slater", random_slater) if i % 2 else ("random", random_state)
-        state = maker(args.d, args.n, np.random.SeedSequence([args.seed, i]))
-        truth = analyze(state).separable
+    with _sweep(args.out, PROJECTION_FIELDS) as (rows, summary):
+        for i in range(args.states):
+            kind, maker = ("slater", random_slater) if i % 2 else ("random", random_state)
+            state = maker(args.d, args.n, np.random.SeedSequence([args.seed, i]))
+            truth = analyze(state).separable
+            for samples in args.samples:
+                result = esbl_check(state, samples=samples, seed=args.seed + i)
+                agrees, nulls = result.separable == truth, sum(s.null for s in result.samples)
+                rows.append(dict(zip(PROJECTION_FIELDS, (kind, i, samples, agrees, result.max_residual, nulls))))
+        summary.append(f"{'samples':>7} {'agreement':>10} {'max residual (random)':>22}")
         for samples in args.samples:
-            result = esbl_check(state, samples=samples, seed=args.seed + i)
-            rows.append(
-                {
-                    "kind": kind,
-                    "index": i,
-                    "samples": samples,
-                    "agrees": result.separable == truth,
-                    "residual": result.max_residual,
-                    "null_chains": sum(s.null for s in result.samples),
-                }
-            )
-    summary = [f"{'samples':>7} {'agreement':>10} {'max residual (random)':>22}"]
-    for samples in args.samples:
-        bucket = [r for r in rows if r["samples"] == samples]
-        agree = sum(r["agrees"] for r in bucket)
-        residual = max(r["residual"] for r in bucket if r["kind"] == "random")
-        summary.append(f"{samples:>7} {agree:>6}/{len(bucket)} {residual:>22.6f}")
-    return _write_sweep(args.out, PROJECTION_FIELDS, rows, summary)
+            bucket = [r for r in rows if r["samples"] == samples]
+            agree = sum(r["agrees"] for r in bucket)
+            residual = max(r["residual"] for r in bucket if r["kind"] == "random")
+            summary.append(f"{samples:>7} {agree:>6}/{len(bucket)} {residual:>22.6f}")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

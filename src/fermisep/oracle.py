@@ -1,12 +1,13 @@
-"""Dense first-quantized cross-check for the compact amplitude representation.
+"""Naive reference algorithms that the fast path is checked against.
 
-Everything here works on the full D^N tensor of antisymmetric coefficients,
-the representation the rest of the package deliberately avoids. It exists
-only to verify the fast path on small instances and is never part of the
-analysis pipeline. A hard cap on D^N (default 10^6, overridable through the
-FERMISEP_ORACLE_CAP environment variable) guards against accidental
-exponential blow-up; check_cap is the one place that enforces it, for
-densify and for callers that size a grid of instances up front.
+The full D^N tensor of antisymmetric coefficients, which the rest of the
+package deliberately avoids, with its explicit partial trace; and the
+O(M^2 D) pairwise sum behind the purity identity of the diagonal
+decomposition. No analysis module imports this one. A hard cap on D^N
+(default 10^6, overridable through the FERMISEP_ORACLE_CAP environment
+variable) guards against accidental exponential blow-up; check_cap is the
+one place that enforces it, for densify and for callers that size a grid of
+instances up front.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .basis import OrbitalBasisIndex
 from .errors import DimensionError, ResourceLimitError
-from .rdm import ReducedDensityMatrix
+from .rdm import ConvexDecomposition, ReducedDensityMatrix
 from .states import FermionState
 
 DEFAULT_CAP = 10**6
@@ -132,3 +133,20 @@ def oracle_rdm(dense: DenseWavefunction) -> ReducedDensityMatrix:
     if trace <= 0.0:
         raise DimensionError("cannot normalize the marginal of a zero tensor")
     return ReducedDensityMatrix(dense.n, g / trace)
+
+
+def pairwise_identity_gap(dec: ConvexDecomposition) -> float:
+    """lhs - rhs of the purity identity sum_i F_i^2 = 1/N - sum_{k<k'} d_k d_k' sum_i (f_ik - f_ik')^2.
+
+    Zero up to rounding; evaluated by direct double summation, independently of any density-matrix code.
+    """
+    f, w = dec.distributions, dec.weights
+    lhs = float(dec.diagonal @ dec.diagonal)
+    rhs = float(f.max())  # 1/N: rows sum to 1 with entries 0 or 1/N
+    # Rows k in blocks of about 2^16 differences f_k - f_k', k' >= start.
+    block = max(1, 2**16 // f.size)
+    for start in range(0, len(w), block):
+        diff = f[start:start + block, None, :] - f[None, start:, :]
+        dist = np.triu(np.einsum("kji,kji->kj", diff, diff), 1)  # only k' > k
+        rhs -= float(w[start:start + block] @ dist @ w[start:])
+    return lhs - rhs

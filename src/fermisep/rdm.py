@@ -47,9 +47,6 @@ class ReducedDensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
-    def trace_defect(self) -> float:
-        return abs(float(np.trace(self.entries).real) - 1.0)
-
 
 @dataclass(frozen=True)
 class ConvexDecomposition:
@@ -75,28 +72,6 @@ class ConvexDecomposition:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "distributions", f)
         object.__setattr__(self, "diagonal", diag)
-
-    def pairwise_identity_gap(self) -> float:
-        """Difference between the two sides of the purity identity.
-
-        sum_i F_i^2 = 1/N - sum_{k<k'} d_k d_k' sum_i (f_ik - f_ik')^2
-        holds exactly; the return value is lhs - rhs and should vanish to
-        rounding. Evaluated by direct double summation, independently of
-        any density-matrix code.
-        """
-        f = self.distributions
-        w = self.weights
-        n_inv = float(f.max())  # rows sum to 1 with entries 0 or 1/N
-        lhs = float(self.diagonal @ self.diagonal)
-        m, d = f.shape
-        rhs = n_inv
-        # Rows k in blocks of about 2^16 differences f_k - f_k', k' >= start.
-        block = max(1, 2**16 // (m * d))
-        for start in range(0, m, block):
-            diff = f[start:start + block, None, :] - f[None, start:, :]
-            dist = np.triu(np.einsum("kji,kji->kj", diff, diff), 1)  # only k' > k
-            rhs -= float(w[start:start + block] @ dist @ w[start:])
-        return lhs - rhs
 
 
 def compute_rdm(state: FermionState) -> ReducedDensityMatrix:

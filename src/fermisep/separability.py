@@ -94,6 +94,12 @@ def idempotency_defect(rdm: ReducedDensityMatrix) -> float:
     return float(np.max(np.abs(rho @ rho - rho / rdm.n)))
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise DimensionError unless the verdict tolerance is positive and finite."""
+    if not 0.0 < tolerance < math.inf:
+        raise DimensionError(f"tolerance must be positive and finite, got {tolerance!r}")
+
+
 def analyze(
     state: FermionState,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -109,8 +115,7 @@ def analyze(
     recomputation; N is then the marginal's own. The tolerance must be
     positive and finite.
     """
-    if not 0.0 < tolerance < math.inf:
-        raise DimensionError(f"tolerance must be positive and finite, got {tolerance!r}")
+    check_tolerance(tolerance)
     rho = compute_rdm(state) if rdm is None else rdm
     n = rho.n
     p = purity(rho)

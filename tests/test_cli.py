@@ -14,7 +14,7 @@ import fermisep.cli
 from fermisep.cli import main
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import load_report_schema
-from fermisep.separability import analyze
+from fermisep.separability import EsblResult, analyze
 
 
 def run(capsys, *argv):
@@ -115,6 +115,14 @@ REFUSED_CALLS = {
     "projection-sweep-negative-seed": "projection-sweep --seed -1 --out {out}",
     "projection-sweep-zero-samples": "projection-sweep --samples 0 --out {out}",
     "projection-sweep-zero-states": "projection-sweep --states 0 --out {out}",
+    # Refused by the library once --out is open, which the sweep then removes.
+    "projection-sweep-n-above-d": "projection-sweep --d 3 --n 4 --out {out}",
+    "projection-sweep-one-fermion": "projection-sweep --d 3 --n 1 --out {out}",
+    # The tolerance rule holds on a grid with no cell.
+    "measure-sweep-empty-grid-zero-tolerance": "measure-sweep --n-max 1 --tolerance 0 --out {out}",
+    # Flag prefixes are not expanded: `--d` is not `--d-max`, `--trial` is not `--trials`.
+    "measure-sweep-abbreviated-flag": "measure-sweep --d 4 --out {out}",
+    "verify-abbreviated-flag": "verify --trial 2",
 }
 
 
@@ -207,8 +215,8 @@ def test_verify_accepts_the_verdict_disagreement_the_nesting_allows(capsys, monk
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda r, n: {"idempotency_defect": r.e_l + 1e-9}, "idempotency defect exceeds e_l"),
-        (lambda r, n: {"e_vn": n * r.e_l - 1e-9}, "e_vn below"),
+        (lambda r, n: {"idempotency_defect": r.e_l + 1e-9}, "idempotency defect - e_l"),
+        (lambda r, n: {"e_vn": n * r.e_l - 1e-9}, "n * e_l - e_vn"),
     ],
     ids=["defect-above-e_l", "e_vn-below-n-e_l"],
 )
@@ -216,6 +224,27 @@ def test_verify_fails_a_report_that_breaks_a_nesting_bound(capsys, monkeypatch, 
     code, _, err = verify_with(capsys, monkeypatch, change)
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "field, check",
+    [
+        ("purity", "purity - 1/n"),
+        ("entropy", "ln n - entropy"),
+        ("e_l", "idempotency defect - e_l"),
+        ("e_vn", "n * e_l - e_vn"),
+        ("idempotency_defect", "idempotency defect - e_l"),
+    ],
+)
+def test_verify_fails_a_nan_measure(capsys, monkeypatch, field, check):
+    code, _, err = verify_with(capsys, monkeypatch, lambda r, n: {field: math.nan})
+    assert code == 1
+    assert f"{check} is nan, not <= " in err
+
+
+def test_verify_refuses_a_grid_without_cells(capsys):
+    for flag in ("--n-max", "--d-max"):
+        assert run(capsys, "verify", flag, "1") == (2, "", "error: need --n-max >= 2, --d-max >= 2\n")
 
 
 def test_verify_detects_injected_corruption(capsys, monkeypatch):
@@ -230,7 +259,7 @@ def test_verify_detects_injected_corruption(capsys, monkeypatch):
     monkeypatch.setattr(fermisep.cli, "compute_rdm", corrupted_rdm)
     code, _, err = run(capsys, "verify", "--d-max", "4", "--n-max", "2", "--trials", "2")
     assert code == 1
-    assert "fast/oracle marginals differ" in err
+    assert "fast/oracle marginal difference" in err
 
 
 def test_analyze_exits_4_on_a_marginal_with_a_negative_eigenvalue(capsys, monkeypatch, fixtures_dir):
@@ -259,6 +288,15 @@ def test_esbl_agreement_on_fixtures(capsys, fixtures_dir, tmp_path):
     code, out, _ = run(capsys, "esbl", str(slater), "--samples", "8")
     assert code == 0
     assert "verdicts agree" in out
+
+
+def test_esbl_exits_1_when_the_verdicts_disagree(capsys, monkeypatch, fixtures_dir):
+    # split_triple.json is entangled; a projection check that calls it separable disagrees.
+    monkeypatch.setattr(fermisep.cli, "esbl_check", lambda state, samples, seed: EsblResult(True, ()))
+    code, out, err = run(capsys, "esbl", str(fixtures_dir / "split_triple.json"))
+    assert code == 1
+    assert "purity verdict       entangled" in out
+    assert err == "verdicts disagree\n"
 
 
 def test_esbl_rejects_zero_samples(capsys, fixtures_dir):
@@ -334,3 +372,16 @@ def test_sweep_to_an_unwritable_out_exits_3_without_traceback(tmp_path, call):
     assert done.returncode == 3
     assert "error:" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("call", SMALL_SWEEPS.values(), ids=SMALL_SWEEPS.keys())
+def test_sweep_opens_its_out_before_drawing_a_state(capsys, monkeypatch, tmp_path, call):
+    def unreachable(*args):
+        raise AssertionError("a state was drawn before --out was opened")
+
+    monkeypatch.setattr(fermisep.cli, "random_state", unreachable)
+    monkeypatch.setattr(fermisep.cli, "random_slater", unreachable)
+    code, out, err = run(capsys, *call.split(), "--out", str(tmp_path / "missing" / "out.csv"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
-"""Checks on the source: unused imports and constants, one place that enumerates tuples, no private imports from outside."""
+"""Checks on the source: unused imports and constants, one place that enumerates tuples, no private imports
+from outside, no oracle on the analysis path."""
 
 import ast
 import re
@@ -103,3 +104,19 @@ def test_code_outside_the_package_and_its_tests_uses_no_private_fermisep_name():
                 if isinstance(root, ast.Name) and root.id in bound:
                     uses.append(f"{path.name}: {ast.unparse(node)}")
     assert uses == []
+
+
+def test_no_analysis_module_imports_the_oracle():
+    """The naive references in oracle.py check the analysis path and are never part of it."""
+    importers = []
+    for name in ("basis", "states", "rdm", "spectral", "separability", "reporting"):
+        for node in ast.walk(parse(PACKAGE / f"{name}.py")):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "oracle" for m in modules):
+                importers.append(name)
+    assert importers == []
