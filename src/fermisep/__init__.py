@@ -5,12 +5,13 @@ complex amplitude per sorted orbital N-tuple. The package computes the
 single-particle reduced density matrix, decides Slater-rank-one separability
 through the purity, entropy, and idempotency criteria, and reports the
 entanglement measures e_l = 1/N - Tr(rho^2) and e_vn = S[rho] - ln N.
+The naive dense references that check this path are reached as
+fermisep.oracle.
 """
 
 from .basis import OrbitalBasisIndex
 from .errors import FermisepError
-from .oracle import DenseWavefunction, densify, oracle_cap, oracle_rdm, sparsify
-from .rdm import ConvexDecomposition, ReducedDensityMatrix, compute_rdm, diagonal_decomposition
+from .rdm import ReducedDensityMatrix, compute_rdm
 from .separability import (
     EsblResult,
     EsblSample,
@@ -19,9 +20,8 @@ from .separability import (
     esbl_check,
     idempotency_defect,
     project_single_particle,
-    slater_rank_two_fermions,
 )
-from .spectral import Spectrum, eigenvalues, purity, shannon_entropy, von_neumann_entropy
+from .spectral import Spectrum, eigenvalues, purity
 from .states import (
     FermionState,
     LocalUnitary,
@@ -40,8 +40,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexDecomposition",
-    "DenseWavefunction",
     "EsblResult",
     "EsblSample",
     "FermionState",
@@ -54,26 +52,18 @@ __all__ = [
     "analyze",
     "apply_local_unitary",
     "compute_rdm",
-    "densify",
-    "diagonal_decomposition",
     "eigenvalues",
     "esbl_check",
     "from_coefficients",
     "haar_unitary",
     "idempotency_defect",
     "load_state",
-    "oracle_cap",
-    "oracle_rdm",
     "parse_state",
     "project_single_particle",
     "purity",
     "random_slater",
     "random_state",
     "save_state",
-    "shannon_entropy",
     "slater_from_orbitals",
-    "slater_rank_two_fermions",
-    "sparsify",
     "state_document",
-    "von_neumann_entropy",
 ]

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FermisepError, NotADensityMatrixError
-from .oracle import check_cap, densify, oracle_rdm, pairwise_identity_gap, sparsify
-from .rdm import compute_rdm, diagonal_decomposition
+from .oracle import check_cap, densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap, sparsify
+from .rdm import compute_rdm
 from .reporting import flatten_report, format_float, render_csv, render_json
 from .separability import DEFAULT_TOLERANCE, analyze, check_tolerance, esbl_check
 from .states import load_state, random_slater, random_state, save_state
@@ -178,11 +178,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_random(args: argparse.Namespace) -> int:
     kind, maker = ("slater", random_slater) if args.slater else ("state", random_state)
     for i, child in enumerate(np.random.SeedSequence(args.seed).spawn(args.count)):
-        state = maker(args.d, args.n, child)
-        # Only once a state is built, so that refused dimensions leave no directory.
-        args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / f"{kind}-d{args.d}-n{args.n}-seed{args.seed}-{i:04d}.json"
-        save_state(state, path)
+        save_state(maker(args.d, args.n, child), path)
         print(path)
     return EXIT_OK
 
@@ -198,7 +195,7 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
     for trial in range(trials):
         slater = trial % 2 == 1
         state = (random_slater if slater else random_state)(d, n, np.random.SeedSequence([seed, n, d, trial]))
-        rho, dense, dec = compute_rdm(state), densify(state), diagonal_decomposition(state)
+        rho, dense, (w, f) = compute_rdm(state), densify(state), diagonal_decomposition(state)
         report = analyze(state, rdm=rho)
         # (check, deviation, bound); every deviation is at most 0 in exact arithmetic.
         for check, deviation, bound in [
@@ -209,8 +206,8 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
             # The verdicts nest (see SeparabilityReport); these are the two bounds behind it.
             ("idempotency defect - e_l", report.idempotency_defect - report.e_l, 1e-14),
             ("n * e_l - e_vn", n * report.e_l - report.e_vn, 1e-14),
-            (TABLE_CHECKS[2], abs(pairwise_identity_gap(dec)), 1e-10),
-            ("decomposition diagonal", float(np.max(np.abs(dec.diagonal - np.diag(rho.entries).real))), 1e-12),
+            (TABLE_CHECKS[2], abs(pairwise_identity_gap(w, f)), 1e-10),
+            ("decomposition diagonal", float(np.max(np.abs(w @ f - np.diag(rho.entries).real))), 1e-12),
             ("Slater |purity - 1/n|", abs(report.purity - 1.0 / n) if slater else 0.0, 1e-10),
         ]:
             if check in worst:
@@ -223,7 +220,7 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 2 or args.d_max < 2:
         raise DimensionError("need --n-max >= 2, --d-max >= 2")
-    check_cap(args.d_max, args.n_max)  # the largest cell of the grid
+    check_cap(args.d_max, min(args.n_max, args.d_max))  # the largest cell of the grid, where n <= d
 
     all_failures: list[str] = []
     print(f"{'n':>2} {'d':>3} {'trials':>6} {'max|fast-oracle|':>17} {'max roundtrip':>14} {'max identity gap':>17}")

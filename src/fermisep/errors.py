@@ -41,10 +41,6 @@ class NotADensityMatrixError(FermisepError, ValueError):
     """The input is not a density matrix: not finite, not Hermitian, or eigenvalues too negative for noise."""
 
 
-class InvalidDistributionError(FermisepError, ValueError):
-    """Probability vector fails its normalization or positivity checks."""
-
-
 class UnsupportedError(FermisepError, ValueError):
     """Operation is defined only for a particle number other than the one supplied."""
 

@@ -8,12 +8,16 @@ decomposition. No analysis module imports this one. A hard cap on D^N
 variable) guards against accidental exponential blow-up; check_cap is the
 one place that enforces it, for densify and for callers that size a grid of
 instances up front.
+
+The diagonal of rho_r admits a convex decomposition F_i = sum_k d_k f_ik with
+weights d_k = |c_k|^2 and flat occupation distributions f_ik equal to 1/N on
+the orbitals of tuple k and zero elsewhere. That structure drives the purity
+bound sum_i F_i^2 <= 1/N used by the separability criteria.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from .basis import OrbitalBasisIndex
 from .errors import DimensionError, ResourceLimitError
-from .rdm import ConvexDecomposition, ReducedDensityMatrix
+from .rdm import ReducedDensityMatrix
 from .states import FermionState
 
 DEFAULT_CAP = 10**6
@@ -64,62 +68,28 @@ def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, np.where(np.sum(perms[:, a] > perms[:, b], axis=1) % 2, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class DenseWavefunction:
-    """Fully antisymmetric coefficient tensor w over all D^N ordered tuples.
+def densify(state: FermionState) -> np.ndarray:
+    """Expand a compact state into the full (D,)*N antisymmetric tensor w.
 
-    Mirrors a compact state: at a permutation of a sorted tuple t the entry
-    is sign(permutation) * c_t / N!, zero on repeated indices, so the total
-    squared norm of a normalized state is 1/N!.
+    At a permutation of a sorted tuple t the entry is sign(permutation) * c_t / N!,
+    zero on repeated indices, so the total squared norm of a normalized state is 1/N!.
     """
-
-    d: int
-    n: int
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.tensor, dtype=np.complex128).reshape(-1)
-        if w.shape[0] != self.d**self.n:
-            raise DimensionError(f"expected {self.d ** self.n} entries, got {w.shape[0]}")
-        w.flags.writeable = False
-        object.__setattr__(self, "tensor", w)
-
-    def as_ndarray(self) -> np.ndarray:
-        return self.tensor.reshape((self.d,) * self.n)
-
-    def antisymmetry_defect(self) -> float:
-        """Max violation of w -> -w under adjacent index swaps, checked exhaustively."""
-        a = self.as_ndarray()
-        worst = 0.0
-        for axis in range(self.n - 1):
-            worst = max(worst, float(np.max(np.abs(a + np.swapaxes(a, axis, axis + 1)))))
-        return worst
-
-    def norm_defect(self) -> float:
-        """Deviation of the total squared norm from 1/N!."""
-        return abs(float(np.vdot(self.tensor, self.tensor).real) - 1.0 / factorial(self.n))
-
-
-def densify(state: FermionState) -> DenseWavefunction:
-    """Expand a compact state into the full D^N antisymmetric tensor."""
     d, n = state.d, state.n
     check_cap(d, n)
-    strides = np.array([d ** (n - 1 - p) for p in range(n)], dtype=np.intp)
     perms, signs = _permutation_signs(n)
-    scale = 1.0 / factorial(n)
-    w = np.zeros(d**n, dtype=np.complex128)
-    w[state.basis.tuples()[:, perms] @ strides] = signs * (state.amplitudes[:, None] * scale)
-    return DenseWavefunction(d, n, w)
+    index = np.moveaxis(state.basis.tuples()[:, perms], -1, 0)  # axis p: orbital p of each permuted tuple
+    w = np.zeros((d,) * n, dtype=np.complex128)
+    w[tuple(index)] = signs * (state.amplitudes[:, None] * (1.0 / factorial(n)))
+    return w
 
 
-def sparsify(dense: DenseWavefunction) -> FermionState:
+def sparsify(tensor: np.ndarray) -> FermionState:
     """Inverse of densify: read N! times the entries at sorted tuples."""
-    basis = OrbitalBasisIndex(dense.d, dense.n)
-    strides = np.array([dense.d ** (dense.n - 1 - p) for p in range(dense.n)], dtype=np.intp)
-    return FermionState(basis, dense.tensor[basis.tuples() @ strides] * float(factorial(dense.n)))
+    basis = OrbitalBasisIndex(tensor.shape[0], tensor.ndim)
+    return FermionState(basis, tensor[tuple(basis.tuples().T)] * float(factorial(tensor.ndim)))
 
 
-def oracle_rdm(dense: DenseWavefunction) -> ReducedDensityMatrix:
+def oracle_rdm(tensor: np.ndarray) -> ReducedDensityMatrix:
     """Single-particle marginal by explicit partial trace over N-1 indices.
 
     rho(i, j) is proportional to sum over the remaining indices of
@@ -127,21 +97,31 @@ def oracle_rdm(dense: DenseWavefunction) -> ReducedDensityMatrix:
     the end instead of tracking the 1/N prefactor, so this path shares no
     normalization code with the fast combinatorial construction.
     """
-    w = dense.tensor.reshape(dense.d, -1)
+    w = tensor.reshape(tensor.shape[0], -1)
     g = w @ w.conj().T
     trace = float(np.trace(g).real)
     if trace <= 0.0:
         raise DimensionError("cannot normalize the marginal of a zero tensor")
-    return ReducedDensityMatrix(dense.n, g / trace)
+    return ReducedDensityMatrix(tensor.ndim, g / trace)
 
 
-def pairwise_identity_gap(dec: ConvexDecomposition) -> float:
-    """lhs - rhs of the purity identity sum_i F_i^2 = 1/N - sum_{k<k'} d_k d_k' sum_i (f_ik - f_ik')^2.
+def diagonal_decomposition(state: FermionState) -> tuple[np.ndarray, np.ndarray]:
+    """Weights d_k = |c_k|^2 and the M x D flat occupation distributions f_ik of diag(rho_r)."""
+    basis = state.basis
+    f = np.zeros((basis.size, basis.d), dtype=np.float64)
+    f[np.arange(basis.size)[:, None], basis.tuples()] = 1.0 / basis.n
+    return np.abs(state.amplitudes) ** 2, f
+
+
+def pairwise_identity_gap(weights: np.ndarray, distributions: np.ndarray) -> float:
+    """lhs - rhs of the purity identity sum_i F_i^2 = 1/N - sum_{k<k'} d_k d_k' sum_i (f_ik - f_ik')^2,
+    for the weights d and distributions f of diagonal_decomposition, with F = d @ f.
 
     Zero up to rounding; evaluated by direct double summation, independently of any density-matrix code.
     """
-    f, w = dec.distributions, dec.weights
-    lhs = float(dec.diagonal @ dec.diagonal)
+    w, f = weights, distributions
+    diagonal = w @ f
+    lhs = float(diagonal @ diagonal)
     rhs = float(f.max())  # 1/N: rows sum to 1 with entries 0 or 1/N
     # Rows k in blocks of about 2^16 differences f_k - f_k', k' >= start.
     block = max(1, 2**16 // f.size)

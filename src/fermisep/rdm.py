@@ -1,4 +1,4 @@
-"""Single-particle reduced density matrix and its diagonal decomposition.
+"""Single-particle reduced density matrix.
 
 The matrix element <i|rho_r|j> is (1/N) <Psi| a_j^dag a_i |Psi>, which makes
 rho_r Hermitian, positive semidefinite, and normalized to unit trace. For a
@@ -10,16 +10,11 @@ marginal is rho_r = Phi Phi^dag / N. The basis index fills Phi from its one
 cached annihilation table, which the single-particle projection in the
 separability module shares; then one D x D matrix product runs over the
 C(D,N-1) columns of Phi.
-
-The diagonal of rho_r admits a convex decomposition F_i = sum_k d_k f_ik with
-weights d_k = |c_k|^2 and flat occupation distributions f_ik equal to 1/N on
-the orbitals of tuple k and zero elsewhere. That structure drives the purity
-bound sum_i F_i^2 <= 1/N used by the separability criteria.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,32 +43,6 @@ class ReducedDensityMatrix:
         object.__setattr__(self, "entries", m)
 
 
-@dataclass(frozen=True)
-class ConvexDecomposition:
-    """Diagonal of rho_r as a convex mixture of flat occupation distributions.
-
-    weights: d_k = |c_k|^2, one per basis tuple, summing to 1.
-    distributions: M x D matrix of f_ik, each row 1/N on tuple k's orbitals.
-    diagonal: F_i = sum_k d_k f_ik, equal to <i|rho_r|i>.
-    """
-
-    weights: np.ndarray
-    distributions: np.ndarray
-    diagonal: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        f = np.array(self.distributions, dtype=np.float64)
-        if f.shape[0] != w.shape[0]:
-            raise DimensionError(f"{w.shape[0]} weights but {f.shape[0]} distributions")
-        diag = w @ f
-        for arr in (w, f, diag):
-            arr.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "distributions", f)
-        object.__setattr__(self, "diagonal", diag)
-
-
 def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     """Single-particle reduced density matrix of a pure N-fermion state.
 
@@ -83,11 +52,3 @@ def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     phi = state.basis.annihilate(state.amplitudes)
     return ReducedDensityMatrix(state.n, phi @ phi.conj().T / state.n)
 
-
-def diagonal_decomposition(state: FermionState) -> ConvexDecomposition:
-    """Convex decomposition of diag(rho_r) into flat occupation distributions."""
-    basis = state.basis
-    weights = np.abs(state.amplitudes) ** 2
-    f = np.zeros((basis.size, basis.d), dtype=np.float64)
-    f[np.arange(basis.size)[:, None], basis.tuples()] = 1.0 / basis.n
-    return ConvexDecomposition(weights, f)

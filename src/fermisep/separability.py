@@ -137,18 +137,13 @@ def analyze(
     )
 
 
-def slater_rank_two_fermions(state: FermionState) -> int:
-    """Slater rank of a two-fermion state from its reduced spectrum.
+def _rank_and_residual(state: FermionState) -> tuple[int, float]:
+    """Slater rank of a two-fermion state and its spectral weight beyond the leading pair.
 
     The eigenvalues of rho_r come in degenerate pairs for N = 2, one pair
     per determinant in the canonical form of the state; the rank is half
     the number of eigenvalues above 1e-10.
     """
-    return _rank_and_residual(state)[0]
-
-
-def _rank_and_residual(state: FermionState) -> tuple[int, float]:
-    """Slater rank of a two-fermion state and its spectral weight beyond the leading pair."""
     if state.n != 2:
         raise UnsupportedError(f"defined for two fermions only, got n={state.n}")
     lam = eigenvalues(compute_rdm(state)).values

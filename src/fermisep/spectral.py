@@ -2,6 +2,9 @@
 
 A Spectrum refuses NaN, infinite and below -1e-8 eigenvalues when it is built,
 so the entropy and every other reader of its values see only checked ones.
+The von Neumann entropy of a marginal is eigenvalues(rho).entropy(): at least
+ln N for an N-fermion pure state, with equality exactly on Slater-rank-one
+states.
 """
 
 from __future__ import annotations
@@ -10,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDistributionError, NotADensityMatrixError
+from .errors import NotADensityMatrixError
 from .rdm import ReducedDensityMatrix
 
 HARD_FAIL_TOL = 1e-8
-DISTRIBUTION_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,14 +34,9 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
     def entropy(self) -> float:
-        """-sum lambda ln lambda over the positive eigenvalues, with 0 ln 0 = 0."""
-        return _entropy(self.values)
-
-
-def _entropy(p: np.ndarray) -> float:
-    """-sum p ln p over the positive entries of p, so 0 ln 0 = 0 and negative noise drops out."""
-    positive = p[p > 0.0]
-    return float(-(positive @ np.log(positive)))
+        """-sum lambda ln lambda in nats over the positive eigenvalues, so 0 ln 0 = 0 and negative noise drops out."""
+        positive = self.values[self.values > 0.0]
+        return float(-(positive @ np.log(positive)))
 
 
 def eigenvalues(rdm: ReducedDensityMatrix) -> Spectrum:
@@ -55,26 +52,3 @@ def purity(rdm: ReducedDensityMatrix) -> float:
     """
     return float(np.sum(np.abs(rdm.entries) ** 2))
 
-
-def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
-    """-Tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention.
-
-    At least ln N for the marginal of an N-fermion pure state, with equality
-    exactly on Slater-rank-one states.
-    """
-    return eigenvalues(rdm).entropy()
-
-
-def shannon_entropy(distribution: np.ndarray) -> float:
-    """Shannon entropy in nats of a probability vector.
-
-    Entries may carry rounding noise down to -1e-12 (clamped to zero); the
-    sum must be 1 within 1e-9.
-    """
-    p = np.asarray(distribution, dtype=np.float64)
-    if not -p.min(initial=0.0) <= 1e-12:  # NaN fails too
-        raise InvalidDistributionError(f"probability {p.min():.3e} is NaN or negative")
-    total = float(p.sum())
-    if not abs(total - 1.0) <= DISTRIBUTION_SUM_TOL:
-        raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-    return _entropy(p)

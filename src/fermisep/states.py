@@ -34,7 +34,7 @@ from .errors import (
 
 UNITARY_TOL = 1e-10
 DEPENDENCE_TOL = 1e-10
-# Largest d a state file may give: the D x D marginal is 16 d^2 bytes, 64 MiB here.
+# Largest d a state file may give, read or written: the D x D marginal is 16 d^2 bytes, 64 MiB here.
 MAX_MARGINAL_D = 2048
 # Whitespace around at most one separator: what lies between two JSON values.
 _JSON_GAP = re.compile(r"[ \t\n\r]*[,:\[{]?[ \t\n\r]*")
@@ -255,6 +255,12 @@ def _entry_line(text: str, index: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
+def _check_file_d(d: int) -> None:
+    """Raise StateFormatError for a d past MAX_MARGINAL_D, in either direction of the file format."""
+    if d > MAX_MARGINAL_D:
+        raise StateFormatError(f"d={d} is more than {MAX_MARGINAL_D}, too large for its d x d marginal")
+
+
 def _is_int(value) -> bool:
     # JSON true/false arrive as bool, which Python counts as an int.
     return isinstance(value, int) and not isinstance(value, bool)
@@ -299,8 +305,7 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         raise StateFormatError("d and n must be integers")
     if not isinstance(doc["amplitudes"], list) or not doc["amplitudes"]:
         raise StateFormatError("amplitudes must be a non-empty array")
-    if doc["d"] > MAX_MARGINAL_D:
-        raise StateFormatError(f"d={doc['d']} is more than {MAX_MARGINAL_D}, too large for its d x d marginal")
+    _check_file_d(doc["d"])
     entries = []
     for idx, item in enumerate(doc["amplitudes"]):
         try:
@@ -334,7 +339,8 @@ def load_state(path: str | Path) -> tuple[FermionState, float]:
 
 
 def state_document(state: FermionState) -> dict:
-    """JSON-ready document for a state, omitting exactly-zero amplitudes."""
+    """JSON-ready document for a state, omitting exactly-zero amplitudes; StateFormatError past MAX_MARGINAL_D."""
+    _check_file_d(state.d)
     nonzero = np.flatnonzero(state.amplitudes)
     entries = [
         {"orbitals": orbitals, "re": float(value.real), "im": float(value.imag)}
@@ -344,7 +350,12 @@ def state_document(state: FermionState) -> dict:
 
 
 def save_state(state: FermionState, path: str | Path) -> None:
-    """Write a state file holding every amplitude to the last bit (loading normalizes it again)."""
+    """Write a state file holding every amplitude to the last bit (loading normalizes it again).
+
+    Its directory is made once the document is built, so that a refused state leaves none behind.
+    """
     from .reporting import render_json
 
-    Path(path).write_text(render_json(state_document(state)) + "\n")
+    text = render_json(state_document(state)) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)

@@ -15,10 +15,10 @@ import pytest
 from conftest import random_unitary
 from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.cli import main
-from fermisep.oracle import densify, oracle_rdm, pairwise_identity_gap, sparsify
-from fermisep.rdm import ReducedDensityMatrix, compute_rdm, diagonal_decomposition
+from fermisep.oracle import densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap, sparsify
+from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.separability import analyze, esbl_check, idempotency_defect
-from fermisep.spectral import eigenvalues, purity, von_neumann_entropy
+from fermisep.spectral import eigenvalues, purity
 from fermisep.states import (
     LocalUnitary,
     apply_local_unitary,
@@ -137,7 +137,7 @@ def test_06_diagonal_decomposition_identity(slater_grid, random_grid):
     for states in (slater_states, random_states):
         for cell in states.values():
             for state in cell:
-                worst = max(worst, abs(pairwise_identity_gap(diagonal_decomposition(state))))
+                worst = max(worst, abs(pairwise_identity_gap(*diagonal_decomposition(state))))
     assert worst <= 1e-10
 
 

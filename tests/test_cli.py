@@ -98,10 +98,12 @@ REFUSED_CALLS = {
     "esbl-negative-seed": "esbl {pair} --seed -1",
     "random-zero-count": "random --d 4 --n 2 --count 0 --out {out}",
     "verify-zero-trials": "verify --d-max 3 --n-max 2 --trials 0",
-    "verify-n-max-past-printable-size": "verify --n-max 6000",
+    "verify-n-max-past-printable-size": "verify --n-max 6000 --d-max 6000",
     "esbl-zero-samples": "esbl {pair} --samples 0",
     "random-n-above-d": "random --d 3 --n 4 --out {out}",
     "random-slater-negative-d": "random --d -1 --n 1 --slater --out {out}",
+    # A state file holds d <= 2048 whether it is read or written.
+    "random-d-past-state-file-limit": "random --d 2049 --n 1 --out {out}",
     # Bases refused before anything is allocated: past the range of the
     # ranks, and within it but past what numpy can size.
     "random-basis-too-large": "random --d 100000 --n 50000 --out {out}",
@@ -184,6 +186,13 @@ def test_verify_small_grid_passes(capsys):
 def test_verify_default_grid_passes(capsys):
     # d <= 6, n <= 5, 20 trials per cell: the grid the fast path is held to.
     code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "all checks passed" in out
+
+
+def test_verify_sizes_the_cap_on_the_largest_cell_of_its_grid(capsys):
+    # Every cell has n <= d, so the largest tensor is 4^4, not 4^12.
+    code, out, _ = run(capsys, "verify", "--d-max", "4", "--n-max", "12", "--trials", "1")
     assert code == 0
     assert "all checks passed" in out
 

@@ -1,13 +1,19 @@
 """Checks on the source: unused imports and constants, one place that enumerates tuples, no private imports
-from outside, no oracle on the analysis path."""
+from outside, no oracle on the analysis path, no export that only tests use."""
 
 import ast
 import re
 from pathlib import Path
 
+import fermisep
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fermisep"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+# Exports that neither the package nor perfbench/ calls, each with the reason it is exported.
+UNCALLED_EXPORTS = {
+    "from_coefficients": "the README quickstart builds its example state with it",
+}
 
 
 def parse(path: Path) -> ast.Module:
@@ -120,3 +126,12 @@ def test_no_analysis_module_imports_the_oracle():
             if any(m.split(".")[-1] == "oracle" for m in modules):
                 importers.append(name)
     assert importers == []
+
+
+def test_every_export_is_called_by_the_program():
+    """A name in fermisep.__all__ is loaded in the package outside __init__.py or in perfbench/, or is
+    on UNCALLED_EXPORTS; an export that only tests call belongs in the module that tests it, not the API."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + list((ROOT / "perfbench").glob("*.py"))
+    loaded = set().union(*(loaded_names(parse(path)) for path in paths))
+    assert sorted(set(fermisep.__all__) - loaded - set(UNCALLED_EXPORTS)) == []
+    assert sorted(set(UNCALLED_EXPORTS) - set(fermisep.__all__)) == []

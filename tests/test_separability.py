@@ -17,7 +17,6 @@ from fermisep.separability import (
     esbl_check,
     idempotency_defect,
     project_single_particle,
-    slater_rank_two_fermions,
 )
 from fermisep.spectral import eigenvalues, purity
 from fermisep.states import FermionState, from_coefficients, load_state, random_slater, random_state
@@ -77,11 +76,15 @@ def test_reference_spectrum_fails_idempotency_despite_matching_purity():
     assert defect > 1e-3
 
 
+def slater_rank(state):
+    return separability._rank_and_residual(state)[0]
+
+
 def test_two_fermion_slater_rank():
-    assert slater_rank_two_fermions(from_coefficients(4, 2, [((0, 1), 1.0)])) == 1
-    assert slater_rank_two_fermions(from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0)])) == 2
+    assert slater_rank(from_coefficients(4, 2, [((0, 1), 1.0)])) == 1
+    assert slater_rank(from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0)])) == 2
     with pytest.raises(UnsupportedError):
-        slater_rank_two_fermions(random_state(6, 3, 0))
+        slater_rank(random_state(6, 3, 0))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -97,7 +100,7 @@ def test_projection_of_slater_is_slater_or_null(fixtures_dir):
     projected, norm = project_single_particle(state, a / np.linalg.norm(a))
     assert projected is not None and norm > 1e-10
     assert projected.n == 2
-    assert slater_rank_two_fermions(projected) == 1
+    assert slater_rank(projected) == 1
 
     # Projecting along an unoccupied orbital annihilates the state.
     localized, _ = load_state(fixtures_dir / "localized_pair.json")
