@@ -6,7 +6,8 @@ between those tuples and dense linear indices in [0, C(D, N)), in
 lexicographic order: ``ranks`` checks tuples and maps them to indices, row k
 of ``tuples()`` is the k-th tuple, and ``annihilate`` applies every a_i.
 No other module ranks tuples. ``tuples()`` is built once per (d, n), cached
-read-only, and is the array the annihilation ranks are computed from.
+read-only, and the annihilation ranks are sums of its own rank terms: the
+rank of t without its m-th orbital is a prefix of (n-1)-tuple terms and a suffix of t's.
 
 Orbitals are 0-based everywhere, in code and in file formats.
 """
@@ -39,6 +40,8 @@ class OrbitalBasisIndex:
     size: int = field(init=False)
 
     def __post_init__(self):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.d, self.n)):
+            raise DimensionError(f"d and n must be integers, got d={self.d!r}, n={self.n!r}")
         if self.d < 1 or self.n < 1:
             raise DimensionError(f"d and n must be positive, got d={self.d}, n={self.n}")
         if self.n > self.d:
@@ -70,10 +73,7 @@ class OrbitalBasisIndex:
                 if len(t) != self.n or any(a >= b for a, b in zip([-1, *t], [*t, self.d])):
                     message = f"row {k}: {tuple(t)} is not {self.n} strictly increasing orbitals in [0, {self.d})"
                     raise InvalidTupleError(message, row=k)
-        # Entry i of a valid tuple is at least i. Below that the binomial is
-        # unreachable and left 0, so every entry fits since size does.
-        terms = [[comb(self.d - 1 - x, self.n - i) if x >= i else 0 for x in range(self.d)] for i in range(self.n)]
-        return self.size - 1 - np.array(terms, dtype=np.intp)[np.arange(self.n), t].sum(axis=1)
+        return self.size - 1 - _rank_terms(self.d, self.n, t).sum(axis=1)
 
     @lru_cache(maxsize=64)  # keyed by (d, n, size): equal bases share one array
     def tuples(self) -> np.ndarray:
@@ -103,13 +103,22 @@ def _allocated(basis: OrbitalBasisIndex, make):
         raise DimensionError(f"C({basis.d}, {basis.n}) basis states are too many to allocate") from exc
 
 
+def _rank_terms(d: int, k: int, t: np.ndarray) -> np.ndarray:
+    """C(d-1-x, k-i) at each entry x = t[r, i]; left 0 below x = i, which no valid tuple reaches, so each fits."""
+    terms = [[comb(d - 1 - x, k - i) if x >= i else 0 for x in range(d)] for i in range(t.shape[1])]
+    return np.array(terms, dtype=np.intp).reshape(-1, d)[np.arange(t.shape[1]), t]
+
+
 @lru_cache(maxsize=64)
 def _annihilation_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (d, n) basis's own tuples() array and small[k, m], the rank of tuple k without its m-th orbital.
 
+    small[:, m] = C(d, n-1) - 1 - sum_{i<m} C(d-1-t_i, n-1-i) - sum_{i>m} C(d-1-t_i, n-i), a prefix of
+    (n-1)-tuple rank terms and a suffix of the tuple's own; all 0, the empty tuple's rank, with one particle.
     No (orbital, small) pair repeats, since the tuple is the small tuple plus that orbital.
     """
     t = OrbitalBasisIndex(d, n).tuples()
-    # With one particle, every a_i lands on the empty tuple, of rank 0.
-    lower = OrbitalBasisIndex(d, n - 1).ranks if n > 1 else (lambda rows: np.zeros(len(rows), dtype=np.intp))
-    return t, np.stack([lower(np.delete(t, m, axis=1)) for m in range(n)], axis=1)
+    own = _rank_terms(d, n, t)
+    full = comb(d, n - 1) - 1 - own.sum(axis=1, keepdims=True)  # less every own term
+    own[:, 1:] -= _rank_terms(d, n - 1, t[:, :-1])  # its cumsum at m: own terms i <= m less (n-1)-terms i < m
+    return t, full + own.cumsum(axis=1, out=own)

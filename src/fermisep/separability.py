@@ -166,6 +166,9 @@ def project_single_particle(
     a = np.asarray(direction, dtype=np.complex128).reshape(-1)
     if a.shape != (state.d,):
         raise DimensionError(f"direction must have length {state.d}, got {a.shape[0]}")
+    infinite = np.flatnonzero(~np.isfinite(a))
+    if infinite.size:
+        raise DimensionError(f"direction entry {infinite[0]} is infinite or NaN")
     b = np.conj(a) @ state.basis.annihilate(state.amplitudes)
     norm = float(np.linalg.norm(b))
     if norm <= NULL_PROJECTION_TOL:

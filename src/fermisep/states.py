@@ -227,6 +227,8 @@ def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> Fermion
 
 def haar_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
     """Haar-distributed d x d unitary via QR with the R-diagonal phase fix."""
+    if d < 1:
+        raise DimensionError(f"unitary dimension must be positive, got d={d}")
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return LocalUnitary(_orthonormalize(z))
 

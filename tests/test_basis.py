@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import enumerated_tuples, reference_annihilate, reference_rank
-from fermisep.basis import OrbitalBasisIndex
+from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.errors import DimensionError, InvalidTupleError
+from fermisep.states import from_coefficients, random_state
 
 
 def basis_dims(max_d: int = 8):
@@ -118,6 +119,40 @@ def test_dimension_validation():
         OrbitalBasisIndex(3, 4)
     with pytest.raises(DimensionError):
         OrbitalBasisIndex(0, 1)
+    # Not integers: a float, a string or a bool, here or through the state builders.
+    for d, n in [(4.0, 2), (4, 2.0), ("4", 2), (True, True), (4, False)]:
+        for make in (OrbitalBasisIndex, lambda d, n: random_state(d, n, 0), lambda d, n: from_coefficients(d, n, [])):
+            with pytest.raises(DimensionError, match="must be integers"):
+                make(d, n)
+    assert OrbitalBasisIndex(np.int64(6), np.int32(3)).tuples() is OrbitalBasisIndex(6, 3).tuples()
+
+
+def reference_small(d, n):
+    """The annihilation table as ranks of the (N-1)-sector, one deleted column at a time."""
+    t = OrbitalBasisIndex(d, n).tuples()
+    lower = OrbitalBasisIndex(d, n - 1).ranks if n > 1 else (lambda rows: np.zeros(len(rows), dtype=np.intp))
+    return np.stack([lower(np.delete(t, m, axis=1)) for m in range(n)], axis=1)
+
+
+@pytest.mark.parametrize("d, n", [(12, 5), (20, 5)])
+def test_annihilation_table_equals_the_ranks_of_deleted_columns(d, n):
+    _, small = _annihilation_table(d, n)
+    assert small.dtype == np.intp
+    assert np.array_equal(small, reference_small(d, n))
+
+
+def test_annihilation_table_never_runs_the_tuple_check(monkeypatch):
+    def refuse(self, tuples):
+        raise AssertionError("ranks called on the package's own tuples")
+
+    monkeypatch.setattr(OrbitalBasisIndex, "ranks", refuse)
+    _annihilation_table.cache_clear()
+    for d, n in [(1, 1), (4, 1), (4, 2), (4, 4), (6, 3), (7, 7)]:
+        t, small = _annihilation_table(d, n)
+        assert t is OrbitalBasisIndex(d, n).tuples()
+        assert small.shape == (len(t), n)
+        if n == 1:
+            assert not small.any()
 
 
 def test_annihilate_examples():

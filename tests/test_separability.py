@@ -1,6 +1,7 @@
 """Separability verdicts, entanglement measures, and the projection check."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -115,6 +116,13 @@ def test_projection_validation():
         project_single_particle(state, np.ones(5, dtype=complex))
     with pytest.raises(UnsupportedError):
         project_single_particle(from_coefficients(3, 1, [((0,), 1.0)]), np.ones(3, dtype=complex))
+    # A non-finite direction is refused as such, before any arithmetic can warn.
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        for a in (np.full(6, bad, dtype=complex), np.array([1, 0, bad, 0, 0, 0], dtype=complex)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DimensionError, match="^direction entry"):
+                    project_single_particle(state, a)
 
 
 def test_esbl_on_fixtures(fixtures_dir):

@@ -227,6 +227,12 @@ def test_haar_unitary_is_a_seeded_local_unitary(d):
     assert np.array_equal(u.matrix, haar_unitary(d, np.random.default_rng([d, 5])).matrix)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_haar_unitary_refuses_an_empty_or_negative_dimension(d):
+    with pytest.raises(DimensionError, match=f"got d={d}"):
+        haar_unitary(d, np.random.default_rng(0))
+
+
 def test_basis_whose_ranks_pass_the_integer_range_is_refused():
     # C(70, 35) is about 1.1e20, past 2^63, so its ranks cannot be machine integers.
     with pytest.raises(DimensionError):
