@@ -40,8 +40,8 @@ class OrbitalBasisIndex:
     size: int = field(init=False)
 
     def __post_init__(self):
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.d, self.n)):
-            raise DimensionError(f"d and n must be integers, got d={self.d!r}, n={self.n!r}")
+        for name in ("d", "n"):  # one at a time, since numpy would take (4, False) as two integers
+            object.__setattr__(self, name, int(_frozen(getattr(self, name), np.intp, (), "d and n must be integers")))
         if self.d < 1 or self.n < 1:
             raise DimensionError(f"d and n must be positive, got d={self.d}, n={self.n}")
         if self.n > self.d:
@@ -63,16 +63,18 @@ class OrbitalBasisIndex:
         Combinatorial number system (TAOCP 4A, 7.2.1.3): size - 1 - sum_i C(d-1-t_i, n-i).
         """
         try:
-            t = np.asarray(tuples, dtype=np.intp).reshape(len(tuples), self.n)
+            t = _frozen(tuples, np.intp, (None, self.n), "tuples") if len(tuples) else np.zeros((0, self.n), np.intp)
             valid = np.all(t[:, 1:] > t[:, :-1]) and np.all(t[:, 0] >= 0) and np.all(t[:, -1] < self.d)
-        except (ValueError, OverflowError):  # ragged, another row length, or past the integer range
+        except DimensionError:  # ragged, another row length, not integers, or past the integer range
             valid = False
         if not valid:  # find the first bad row, one by one, on failure only
             for k, row in enumerate(tuples):
-                t = [int(x) for x in np.atleast_1d(row)]
-                if len(t) != self.n or any(a >= b for a, b in zip([-1, *t], [*t, self.d])):
+                t = [int(x) if isinstance(x, np.integer) else x for x in np.array(row, dtype=object, ndmin=1).tolist()]
+                integers = all(isinstance(x, int) and not isinstance(x, bool) for x in t)
+                if not (len(t) == self.n and integers and all(a < b for a, b in zip([-1, *t], [*t, self.d]))):
                     message = f"row {k}: {tuple(t)} is not {self.n} strictly increasing orbitals in [0, {self.d})"
                     raise InvalidTupleError(message, row=k)
+            raise DimensionError(f"tuples must form one array of machine integers, got {tuples!r:.80}")
         return self.size - 1 - _rank_terms(self.d, self.n, t).sum(axis=1)
 
     @lru_cache(maxsize=64)  # keyed by (d, n, size): equal bases share one array
@@ -101,6 +103,21 @@ def _allocated(basis: OrbitalBasisIndex, make):
         return make()
     except (ValueError, MemoryError) as exc:
         raise DimensionError(f"C({basis.d}, {basis.n}) basis states are too many to allocate") from exc
+
+
+def _frozen(value, dtype: type, shape: tuple, what: str) -> np.ndarray:
+    """Read-only copy of value as dtype and shape (None: any length), reading no element. DimensionError "{what},
+    got ..." if ragged, of str, object or bool dtype, not integers for an integer dtype, or complex for a real one."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged
+        a = np.asarray(None)
+    kinds = {np.intp: "iu", np.float64: "iuf", np.complex128: "iufc"}[dtype]
+    if a.dtype.kind not in kinds or a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):
+        raise DimensionError(f"{what}, got " + (f"{value!r:.80}" if a.ndim == 0 else f"{a.dtype} of shape {a.shape}"))
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def _rank_terms(d: int, k: int, t: np.ndarray) -> np.ndarray:

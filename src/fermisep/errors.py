@@ -30,7 +30,8 @@ class DegenerateOrbitalsError(FermisepError, ValueError):
 
 
 class DimensionError(FermisepError, ValueError):
-    """Incompatible dimensions or a parameter out of range, for example N > D or a zero tolerance."""
+    """Incompatible dimensions, a parameter out of range, or an argument of the wrong kind or shape,
+    for example N > D, a zero tolerance, a float count or a ragged array."""
 
 
 class NonUnitaryError(FermisepError, ValueError):

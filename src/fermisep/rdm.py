@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _frozen
 from .errors import DimensionError, NotADensityMatrixError
 from .states import FermionState
 
@@ -31,16 +32,14 @@ class ReducedDensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not self.n >= 1:
-            raise DimensionError(f"expected n >= 1 and a non-empty square matrix, got n={self.n!r}, shape {m.shape}")
+        m = _frozen(self.entries, np.complex128, (None, None), "expected a square matrix")
+        if _frozen(self.n, np.intp, (), "expected an integer n") < 1 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise DimensionError(f"expected n >= 1 and a non-empty square matrix, got n={self.n}, shape {m.shape}")
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
             defect = np.max(np.abs(m - m.conj().T), initial=0.0)
         if not defect <= 1e-10:
             raise NotADensityMatrixError(f"matrix is not finite or deviates from Hermitian by {defect:.3e}")
-        m = (m + m.conj().T) / 2
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _frozen((m + m.conj().T) / 2, np.complex128, m.shape, "marginal"))
 
 
 def compute_rdm(state: FermionState) -> ReducedDensityMatrix:

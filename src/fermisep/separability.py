@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex
+from .basis import OrbitalBasisIndex, _frozen
 from .errors import DimensionError, UnsupportedError
 from .rdm import ReducedDensityMatrix, compute_rdm
 from .spectral import Spectrum, eigenvalues, purity
@@ -95,8 +95,8 @@ def idempotency_defect(rdm: ReducedDensityMatrix) -> float:
 
 
 def check_tolerance(tolerance: float) -> None:
-    """Raise DimensionError unless the verdict tolerance is positive and finite."""
-    if not 0.0 < tolerance < math.inf:
+    """Raise DimensionError unless the verdict tolerance is a real number, positive and finite."""
+    if not 0.0 < _frozen(tolerance, np.float64, (), "tolerance must be positive and finite") < math.inf:
         raise DimensionError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
@@ -163,9 +163,7 @@ def project_single_particle(
     """
     if state.n < 2:
         raise UnsupportedError("projection needs at least two particles")
-    a = np.asarray(direction, dtype=np.complex128).reshape(-1)
-    if a.shape != (state.d,):
-        raise DimensionError(f"direction must have length {state.d}, got {a.shape[0]}")
+    a = _frozen(direction, np.complex128, (state.d,), f"direction must be a vector of length {state.d}")
     infinite = np.flatnonzero(~np.isfinite(a))
     if infinite.size:
         raise DimensionError(f"direction entry {infinite[0]} is infinite or NaN")
@@ -210,7 +208,7 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     degeneracy. For n = 2 no sampling is involved, the rank is read directly;
     n = 1 is refused.
     """
-    if samples < 1:
+    if _frozen(samples, np.intp, (), "samples must be an integer") < 1:
         raise DimensionError(f"need at least one sample, got {samples}")
     if state.n < 2:
         raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")

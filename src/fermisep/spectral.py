@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _frozen
 from .errors import NotADensityMatrixError
 from .rdm import ReducedDensityMatrix
 
@@ -26,12 +27,11 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=np.float64))[::-1].copy()
+        v = np.sort(_frozen(self.values, np.float64, (None,), "expected a vector of real eigenvalues"))[::-1]
         if not (np.isfinite(v).all() and -v.min(initial=0.0) <= HARD_FAIL_TOL):
             span = f"{v[-1]:.3e} to {v[0]:.3e}"  # a NaN sorts first, so it shows
             raise NotADensityMatrixError(f"eigenvalues must be finite and at least -{HARD_FAIL_TOL:.0e}, got {span}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v, np.float64, v.shape, "eigenvalues"))
 
     def entropy(self) -> float:
         """-sum lambda ln lambda in nats over the positive eigenvalues, so 0 ln 0 = 0 and negative noise drops out."""

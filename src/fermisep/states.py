@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated
+from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated, _frozen
 from .errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -68,18 +68,12 @@ class FermionState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        # Copy so the stored vector is never a view of caller-owned memory.
-        c = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if c.shape != (self.basis.size,):
-            raise DimensionError(
-                f"expected {self.basis.size} amplitudes for d={self.d}, n={self.n}, got {c.shape[0]}"
-            )
+        what = f"expected {self.basis.size} amplitudes for d={self.d}, n={self.n}"
+        c = _frozen(self.amplitudes, np.complex128, (self.basis.size,), what)
         scale, norm = _scaled_norm(c)
         if norm == 0.0 or not np.isfinite(norm):
             raise ZeroStateError("amplitudes have zero or non-finite norm")
-        c = c / scale / norm
-        c.flags.writeable = False
-        object.__setattr__(self, "amplitudes", c)
+        object.__setattr__(self, "amplitudes", _frozen(c / scale / norm, np.complex128, c.shape, what))
 
     @property
     def d(self) -> int:
@@ -101,19 +95,19 @@ class LocalUnitary:
     The same rotation is applied to every particle at once; this is the
     symmetry group under which fermionic entanglement is invariant. Any
     unitary is accepted, the overall determinant phase plays no role in
-    the quantities computed downstream.
+    the quantities computed downstream. The matrix is stored as a read-only
+    copy, so the caller's array stays its own.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.matrix, dtype=np.complex128)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+        u = _frozen(self.matrix, np.complex128, (None, None), "unitary must be square and non-empty")
+        if u.shape[0] != u.shape[1] or u.size == 0:
             raise DimensionError(f"unitary must be square and non-empty, got shape {u.shape}")
         defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
         if not defect <= UNITARY_TOL:  # NaN fails too
             raise NonUnitaryError(f"U^dag U deviates from identity by {defect:.3e}")
-        u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
 
     @property
@@ -136,15 +130,17 @@ def from_coefficients(
 def _listed_amplitudes(basis: OrbitalBasisIndex, entries: list[tuple[OrbitalTuple, complex]]) -> np.ndarray:
     """Amplitude vector holding each listed value at the rank of its tuple and zero elsewhere.
 
-    InvalidTupleError and DuplicateEntryError name the first bad row.
+    DimensionError, InvalidTupleError and DuplicateEntryError name the first bad row.
     """
+    if unpaired := [k for k, e in enumerate(entries) if not (isinstance(e, (tuple, list)) and len(e) == 2)]:
+        raise DimensionError(f"row {unpaired[0]}: expected a (tuple, coefficient) pair, got {entries[unpaired[0]]!r}")
     c = _allocated(basis, lambda: np.zeros(basis.size, dtype=np.complex128))
     r = basis.ranks([t for t, _ in entries])
     first = np.unique(r, return_index=True)[1]
     if len(first) < len(r):
         k = int(np.setdiff1d(np.arange(len(r)), first)[0])
         raise DuplicateEntryError(f"row {k}: tuple {tuple(int(x) for x in entries[k][0])} listed twice", row=k)
-    c[r] = [v for _, v in entries]
+    c[r] = _frozen([v for _, v in entries], np.complex128, (len(r),), "coefficients must be numbers")
     return c
 
 
@@ -156,12 +152,11 @@ def _orthonormalize(columns: np.ndarray) -> np.ndarray:
     underflow. Raises DegenerateOrbitalsError when a column is (numerically)
     in the span of its predecessors.
     """
-    m = np.array(columns, dtype=np.complex128)
-    scales, norms = np.array([_scaled_norm(col) for col in m.T]).T
+    scales, norms = np.array([_scaled_norm(col) for col in columns.T]).T
     infinite = np.flatnonzero(~np.isfinite(norms))
     if infinite.size:
         raise DegenerateOrbitalsError(f"orbital {infinite[0]} has an infinite or NaN entry")
-    q, r = np.linalg.qr(m / scales)
+    q, r = np.linalg.qr(columns / scales)
     diag = np.diag(r)
     dependent = np.flatnonzero(np.abs(diag) <= DEPENDENCE_TOL * norms)
     if dependent.size:
@@ -184,13 +179,8 @@ def slater_from_orbitals(orbitals: list[np.ndarray] | np.ndarray) -> FermionStat
     identity already gives a unit-norm vector. States built this way have
     Slater rank one by construction.
     """
-    if isinstance(orbitals, (list, tuple)):
-        # A sequence of N vectors, each of length D; stack them as columns.
-        m = np.asarray(orbitals, dtype=np.complex128).T
-    else:
-        m = np.asarray(orbitals, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a stack of vectors, got ndim={m.ndim}")
+    m = _frozen(orbitals, np.complex128, (None, None), "expected a stack of vectors")
+    m = m.T if isinstance(orbitals, (list, tuple)) else m  # a list holds N vectors of length D: stack them as columns
     basis = OrbitalBasisIndex(*m.shape)
     return FermionState(basis, _minors(_orthonormalize(m), basis.tuples()))
 
@@ -227,8 +217,7 @@ def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> Fermion
 
 def haar_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
     """Haar-distributed d x d unitary via QR with the R-diagonal phase fix."""
-    if d < 1:
-        raise DimensionError(f"unitary dimension must be positive, got d={d}")
+    d = OrbitalBasisIndex(d, 1).d
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return LocalUnitary(_orthonormalize(z))
 

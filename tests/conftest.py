@@ -34,6 +34,52 @@ MALFORMED_STATES = {
 }
 
 
+def _state():
+    return fermisep.random_state(4, 2, 0)
+
+
+def _basis():
+    return fermisep.OrbitalBasisIndex(4, 2)
+
+
+# Public calls with an argument of the wrong kind or shape: ragged, strings,
+# bools, floats where a count belongs, complex where a real number belongs, or
+# a 2-D array where a vector belongs. Each must raise a FermisepError, with no
+# warning, rather than coerce the argument or end in a bare numpy error.
+MALFORMED_ARGUMENTS = {
+    "unitary-string": lambda: fermisep.LocalUnitary("abcd"),
+    "unitary-ragged": lambda: fermisep.LocalUnitary([[1, 0], [0]]),
+    "coefficients-float-tuple": lambda: fermisep.from_coefficients(4, 2, [((0, 1.9), 1)]),
+    "coefficients-not-a-pair": lambda: fermisep.from_coefficients(4, 2, [((0, 1),)]),
+    "coefficients-string-value": lambda: fermisep.from_coefficients(4, 2, [((0, 1), "1")]),
+    "ranks-bool": lambda: _basis().ranks([(False, True)]),
+    "ranks-nan": lambda: _basis().ranks([(np.nan, 1)]),
+    "tolerance-bool": lambda: fermisep.analyze(_state(), tolerance=True),
+    "tolerance-complex": lambda: fermisep.analyze(_state(), tolerance=1e-9 + 0j),
+    "amplitudes-2d": lambda: fermisep.FermionState(_basis(), np.ones((2, 3))),
+    "amplitudes-strings": lambda: fermisep.FermionState(_basis(), ["1"] * 6),
+    "amplitudes-text": lambda: fermisep.FermionState(_basis(), "abcdef"),
+    "amplitudes-ragged": lambda: fermisep.FermionState(_basis(), [1, [2, 3], 4, 5, 6, 7]),
+    "spectrum-2d": lambda: fermisep.Spectrum(np.eye(2)),
+    "spectrum-strings": lambda: fermisep.Spectrum(["0.5", "0.5"]),
+    "spectrum-complex": lambda: fermisep.Spectrum(np.array([0.5 + 0.1j, 0.5])),
+    "marginal-float-n": lambda: fermisep.ReducedDensityMatrix(2.5, np.eye(2) / 2),
+    "marginal-string-n": lambda: fermisep.ReducedDensityMatrix("2", np.eye(2) / 2),
+    "marginal-string": lambda: fermisep.ReducedDensityMatrix(2, "ab"),
+    "marginal-ragged": lambda: fermisep.ReducedDensityMatrix(2, [[0.5, 0], [0.5]]),
+    "samples-bool": lambda: fermisep.esbl_check(_state(), samples=True),
+    "samples-float": lambda: fermisep.esbl_check(_state(), samples=2.5),
+    "samples-string": lambda: fermisep.esbl_check(_state(), samples="3"),
+    "orbitals-string": lambda: fermisep.slater_from_orbitals("ab"),
+    "orbitals-ragged": lambda: fermisep.slater_from_orbitals([[1, 0, 0], [0, 1]]),
+    "direction-string": lambda: fermisep.project_single_particle(_state(), "abcd"),
+    "direction-2d": lambda: fermisep.project_single_particle(_state(), np.eye(2)),
+    "direction-ragged": lambda: fermisep.project_single_particle(_state(), [1, [0, 0], 0, 0]),
+    "haar-float-d": lambda: fermisep.haar_unitary(4.0, np.random.default_rng(0)),
+    "haar-bool-d": lambda: fermisep.haar_unitary(True, np.random.default_rng(0)),
+}
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES

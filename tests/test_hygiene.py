@@ -80,6 +80,16 @@ def test_only_the_basis_module_enumerates_tuples():
     assert set(users) <= {"basis.py"}
 
 
+def test_only_the_basis_module_freezes_arrays():
+    """Arrays are made read-only only in basis.py, whose one helper takes in every argument as a read-only copy."""
+    freezers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store):
+                freezers.append(path.name)
+    assert set(freezers) <= {"basis.py"}
+
+
 def private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

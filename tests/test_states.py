@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_STATES, enumerated_tuples, random_unitary, reference_exterior_power
+from conftest import MALFORMED_ARGUMENTS, MALFORMED_STATES, enumerated_tuples, random_unitary, reference_exterior_power
 from fermisep.basis import OrbitalBasisIndex
 from fermisep.errors import (
     DegenerateOrbitalsError,
     DimensionError,
     DuplicateEntryError,
+    FermisepError,
     NonUnitaryError,
     StateFormatError,
     ZeroStateError,
 )
-from fermisep.rdm import compute_rdm
+from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import render_json
 from fermisep.separability import analyze
-from fermisep.spectral import purity
+from fermisep.spectral import Spectrum, purity
 from fermisep.states import (
     FermionState,
     LocalUnitary,
@@ -398,3 +399,39 @@ def test_parser_parses_or_refuses_any_text(text):
             return
     assert np.isfinite(norm) and norm > 0
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("call", MALFORMED_ARGUMENTS.values(), ids=MALFORMED_ARGUMENTS.keys())
+def test_malformed_arguments_are_refused_without_a_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FermisepError):
+            call()
+
+
+def test_constructors_copy_and_leave_the_caller_array_writeable():
+    basis = OrbitalBasisIndex(4, 2)
+    for make, given in [
+        (LocalUnitary, np.eye(3, dtype=complex)),
+        (lambda c: FermionState(basis, c), np.full(6, 1 / 6**0.5, dtype=complex)),
+        (lambda m: ReducedDensityMatrix(2, m), np.eye(2, dtype=complex) / 2),
+        (Spectrum, np.array([0.5, 0.5])),
+    ]:
+        made = make(given)
+        stored = next(v for v in vars(made).values() if isinstance(v, np.ndarray))
+        assert given.flags.writeable
+        assert not stored.flags.writeable
+        assert not np.shares_memory(given, stored)
+
+
+def test_arguments_of_every_accepted_kind_are_taken():
+    basis = OrbitalBasisIndex(np.int64(4), np.uint8(2))
+    assert (basis.d, basis.n) == (4, 2) and type(basis.d) is int and type(basis.n) is int
+    for amplitudes in ([1, 0, 0, 0, 0, 2], np.arange(1.0, 7.0), np.arange(6, dtype=np.int32), [1j, 0.5, 2, 0, 0, 0]):
+        state = FermionState(basis, amplitudes)
+        assert state.amplitudes.dtype == np.complex128 and abs(np.linalg.norm(state.amplitudes) - 1) <= 1e-15
+    assert abs(slater_from_orbitals([[1, 0, 0, 0], [0, 1, 0, 0]]).amplitude((0, 1))) == pytest.approx(1.0)
+    for seed in (2**100, np.random.SeedSequence(7), np.int64(3)):
+        assert random_state(np.int64(4), 2, seed).d == 4
+    assert haar_unitary(np.int32(3), np.random.default_rng(0)).d == 3
+    assert analyze(random_state(4, 2, 0), tolerance=1).tolerance == 1
