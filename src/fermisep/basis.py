@@ -40,7 +40,7 @@ class OrbitalBasisIndex:
     size: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("d", "n"):  # one at a time, since numpy would take (4, False) as two integers
+        for name in ("d", "n"):  # one scalar at a time, read by its dtype alone
             object.__setattr__(self, name, int(_frozen(getattr(self, name), np.intp, (), "d and n must be integers")))
         if self.d < 1 or self.n < 1:
             raise DimensionError(f"d and n must be positive, got d={self.d}, n={self.n}")
@@ -62,19 +62,8 @@ class OrbitalBasisIndex:
         is not n strictly increasing orbitals in [0, d), and ``row`` is its index.
         Combinatorial number system (TAOCP 4A, 7.2.1.3): size - 1 - sum_i C(d-1-t_i, n-i).
         """
-        try:
-            t = _frozen(tuples, np.intp, (None, self.n), "tuples") if len(tuples) else np.zeros((0, self.n), np.intp)
-            valid = np.all(t[:, 1:] > t[:, :-1]) and np.all(t[:, 0] >= 0) and np.all(t[:, -1] < self.d)
-        except DimensionError:  # ragged, another row length, not integers, or past the integer range
-            valid = False
-        if not valid:  # find the first bad row, one by one, on failure only
-            for k, row in enumerate(tuples):
-                t = [int(x) if isinstance(x, np.integer) else x for x in np.array(row, dtype=object, ndmin=1).tolist()]
-                integers = all(isinstance(x, int) and not isinstance(x, bool) for x in t)
-                if not (len(t) == self.n and integers and all(a < b for a, b in zip([-1, *t], [*t, self.d]))):
-                    message = f"row {k}: {tuple(t)} is not {self.n} strictly increasing orbitals in [0, {self.d})"
-                    raise InvalidTupleError(message, row=k)
-            raise DimensionError(f"tuples must form one array of machine integers, got {tuples!r:.80}")
+        t = _rows(tuples, np.intp, self.n, f"strictly increasing orbitals in [0, {self.d})", InvalidTupleError,
+                  lambda t: np.all(t[:, 1:] > t[:, :-1], axis=1) & (t[:, 0] >= 0) & (t[:, -1] < self.d))
         return self.size - 1 - _rank_terms(self.d, self.n, t).sum(axis=1)
 
     @lru_cache(maxsize=64)  # keyed by (d, n, size): equal bases share one array
@@ -106,18 +95,56 @@ def _allocated(basis: OrbitalBasisIndex, make):
 
 
 def _frozen(value, dtype: type, shape: tuple, what: str) -> np.ndarray:
-    """Read-only copy of value as dtype and shape (None: any length), reading no element. DimensionError "{what},
-    got ..." if ragged, of str, object or bool dtype, not integers for an integer dtype, or complex for a real one."""
+    """Read-only copy of value as dtype and shape (None: any length). DimensionError "{what}, got ..." if ragged, of
+    str, object or bool dtype, not integers for an int dtype, complex for a real one, or a list or tuple with a bool."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged
         a = np.asarray(None)
     kinds = {np.intp: "iu", np.float64: "iuf", np.complex128: "iufc"}[dtype]
-    if a.dtype.kind not in kinds or a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):
-        raise DimensionError(f"{what}, got " + (f"{value!r:.80}" if a.ndim == 0 else f"{a.dtype} of shape {a.shape}"))
+    fits = a.dtype.kind in kinds and a.ndim == len(shape) and all(k in (None, m) for k, m in zip(shape, a.shape))
+    if not fits or isinstance(value, (list, tuple)) and _holds_bool(value):
+        got = f"{a.dtype} of shape {a.shape}" if a.ndim and not fits else f"{value!r:.80}"
+        raise DimensionError(f"{what}, got {got}")
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _holds_bool(value: list | tuple) -> bool:
+    """Whether a bool sits anywhere in value, a list or tuple that numpy takes as one array of numbers."""
+    return not {bool, np.bool_}.isdisjoint(map(type, np.array(value, dtype=object).flat))
+
+
+def _rows(listing, dtype: type, width: int, what: str, error: type, valid=lambda a: True) -> np.ndarray:
+    """listing, a list, tuple or array of m rows (not an iterator, which a first look would use up), as one read-only
+    m x width array of dtype through _frozen, whose rows all pass valid (a row mask of it); else error(row=k) for the
+    first row this refuses alone, or DimensionError if none is."""
+
+    def taken(rows) -> np.ndarray | None:
+        try:
+            a = _frozen(rows, dtype, (None, width), what) if len(rows) else np.zeros((0, width), dtype)
+        except DimensionError:  # ragged, another row length, a bool, not of dtype or past its range
+            return None
+        return a if np.all(valid(a)) else None
+
+    if isinstance(listing, (list, tuple)) or isinstance(listing, np.ndarray) and listing.ndim:
+        if (a := taken(listing)) is not None:
+            return a
+        for k, row in enumerate(listing):
+            if taken([row]) is None:
+                shown = tuple(np.array(row, dtype=object, ndmin=1).tolist())
+                raise error(f"row {k}: {shown!s:.80} is not {width} {what}", row=k)
+    raise DimensionError(f"expected rows of {width} {what} in one sequence of {np.dtype(dtype)}, got {listing!r:.80}")
+
+
+def _seeded(seed) -> np.random.SeedSequence:
+    """A new SeedSequence from a non-negative integer, or from a SeedSequence, copied so that spawning leaves it be."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DimensionError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r:.80}")
+    return np.random.SeedSequence(int(seed))
 
 
 def _rank_terms(d: int, k: int, t: np.ndarray) -> np.ndarray:

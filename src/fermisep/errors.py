@@ -6,7 +6,7 @@ class FermisepError(Exception):
 
 
 class _RowError(FermisepError, ValueError):
-    """Fault in one row of a tuple listing; ``row`` is that row's 0-based index."""
+    """Fault in one row of a listing, such as a tuple listing; ``row`` is that row's 0-based index."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, _frozen
+from .basis import OrbitalBasisIndex, _frozen, _seeded
 from .errors import DimensionError, UnsupportedError
 from .rdm import ReducedDensityMatrix, compute_rdm
 from .spectral import Spectrum, eigenvalues, purity
@@ -213,7 +213,7 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     if state.n < 2:
         raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")
     chains = []
-    for child in np.random.SeedSequence(seed).spawn(samples if state.n > 2 else 1):
+    for child in _seeded(seed).spawn(samples if state.n > 2 else 1):
         rng = np.random.default_rng(child)
         current = state
         norms: list[float] = []

@@ -21,15 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated, _frozen
+from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated, _frozen, _rows, _seeded
 from .errors import (
     DegenerateOrbitalsError,
     DimensionError,
     DuplicateEntryError,
-    InvalidTupleError,
     NonUnitaryError,
     StateFormatError,
     ZeroStateError,
+    _RowError,
 )
 
 UNITARY_TOL = 1e-10
@@ -124,23 +124,22 @@ def from_coefficients(
     The result is normalized, so the coefficients only need a nonzero norm.
     """
     basis = OrbitalBasisIndex(d, n)
-    return FermionState(basis, _listed_amplitudes(basis, entries))
-
-
-def _listed_amplitudes(basis: OrbitalBasisIndex, entries: list[tuple[OrbitalTuple, complex]]) -> np.ndarray:
-    """Amplitude vector holding each listed value at the rank of its tuple and zero elsewhere.
-
-    DimensionError, InvalidTupleError and DuplicateEntryError name the first bad row.
-    """
+    if not isinstance(entries, (list, tuple)):  # an iterator would be used up by the pair check
+        raise DimensionError(f"entries must be a list of (tuple, coefficient) pairs, got {entries!r:.80}")
     if unpaired := [k for k, e in enumerate(entries) if not (isinstance(e, (tuple, list)) and len(e) == 2)]:
         raise DimensionError(f"row {unpaired[0]}: expected a (tuple, coefficient) pair, got {entries[unpaired[0]]!r}")
+    return FermionState(basis, _listed_amplitudes(basis, [t for t, _ in entries], [v for _, v in entries]))
+
+
+def _listed_amplitudes(basis: OrbitalBasisIndex, tuples, values) -> np.ndarray:
+    """values[k] at the rank of tuples[k] and zero elsewhere; InvalidTupleError and DuplicateEntryError name a row."""
     c = _allocated(basis, lambda: np.zeros(basis.size, dtype=np.complex128))
-    r = basis.ranks([t for t, _ in entries])
+    r = basis.ranks(tuples)
     first = np.unique(r, return_index=True)[1]
     if len(first) < len(r):
         k = int(np.setdiff1d(np.arange(len(r)), first)[0])
-        raise DuplicateEntryError(f"row {k}: tuple {tuple(int(x) for x in entries[k][0])} listed twice", row=k)
-    c[r] = _frozen([v for _, v in entries], np.complex128, (len(r),), "coefficients must be numbers")
+        raise DuplicateEntryError(f"row {k}: tuple {tuple(int(x) for x in tuples[k])} listed twice", row=k)
+    c[r] = _frozen(values, np.complex128, (len(r),), "coefficients must be numbers")
     return c
 
 
@@ -201,7 +200,7 @@ def apply_local_unitary(state: FermionState, u: LocalUnitary) -> FermionState:
 
 def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
     """Haar-like random state: i.i.d. complex Gaussian amplitudes, normalized."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seeded(seed))
     basis = OrbitalBasisIndex(d, n)
     c = _allocated(basis, lambda: rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
     return FermionState(basis, c)
@@ -210,7 +209,7 @@ def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionS
 def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
     """Random Slater-rank-one state from N Gaussian orbitals, orthonormalized."""
     OrbitalBasisIndex(d, n)  # refuses bad dimensions before numpy sees a negative shape
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seeded(seed))
     m = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
     return slater_from_orbitals(m)
 
@@ -252,28 +251,6 @@ def _check_file_d(d: int) -> None:
         raise StateFormatError(f"d={d} is more than {MAX_MARGINAL_D}, too large for its d x d marginal")
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as an int.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_entry(item, idx: int) -> tuple[list[int], complex]:
-    """Orbitals and coefficient of one amplitude entry of a state file, type-checked."""
-    if not isinstance(item, dict) or "orbitals" not in item:
-        raise StateFormatError(f"amplitude entry {idx} must be an object with orbitals")
-    orbitals = item["orbitals"]
-    if not isinstance(orbitals, list) or not all(_is_int(x) for x in orbitals):
-        raise StateFormatError(f"orbitals must be an array of integers, got {orbitals!r}")
-    re = item.get("re", 0.0)
-    im = item.get("im", 0.0)
-    if not all(_is_int(x) or isinstance(x, float) for x in (re, im)):
-        raise StateFormatError("re and im must be numbers")
-    try:
-        return orbitals, complex(re, im)
-    except OverflowError as exc:
-        raise StateFormatError(f"amplitude out of floating-point range: {exc}") from exc
-
-
 def parse_state(text: str) -> tuple[FermionState, float]:
     """Parse a JSON state document; returns (state, pre-normalization norm).
 
@@ -285,29 +262,24 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    except RecursionError as exc:
-        raise StateFormatError("invalid JSON: nested too deeply to decode") from exc
+    except (RecursionError, ValueError) as exc:  # too deep for the decoder, or an integer over Python's digit limit
+        raise StateFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFormatError("top-level value must be an object")
     for key in ("d", "n", "amplitudes"):
         if key not in doc:
             raise StateFormatError(f"missing required key {key!r}")
-    if not _is_int(doc["d"]) or not _is_int(doc["n"]):
-        raise StateFormatError("d and n must be integers")
-    if not isinstance(doc["amplitudes"], list) or not doc["amplitudes"]:
-        raise StateFormatError("amplitudes must be a non-empty array")
-    _check_file_d(doc["d"])
-    entries = []
-    for idx, item in enumerate(doc["amplitudes"]):
-        try:
-            entries.append(_parse_entry(item, idx))
-        except StateFormatError as exc:
-            # Locating an entry rescans the text, so it is done on failure only.
-            raise StateFormatError(str(exc), line=_entry_line(text, idx)) from exc
+    entries = doc["amplitudes"]
     try:
         basis = OrbitalBasisIndex(doc["d"], doc["n"])
-        c = _listed_amplitudes(basis, entries)
-    except (InvalidTupleError, DuplicateEntryError) as exc:
+        _check_file_d(basis.d)
+        if not isinstance(entries, list) or not entries:
+            raise StateFormatError("amplitudes must be a non-empty array")
+        if bad := [k for k, e in enumerate(entries) if not (isinstance(e, dict) and "orbitals" in e)]:
+            raise _RowError(f"amplitude entry {bad[0]} must be an object with orbitals", row=bad[0])
+        pairs = _rows([(e.get("re", 0.0), e.get("im", 0.0)) for e in entries], np.float64, 2, "real numbers", _RowError)
+        c = _listed_amplitudes(basis, [e["orbitals"] for e in entries], pairs.view(np.complex128)[:, 0])
+    except _RowError as exc:  # locating an entry rescans the text, so it is done on failure only
         raise StateFormatError(str(exc), line=_entry_line(text, exc.row)) from exc
     except DimensionError as exc:
         raise StateFormatError(str(exc)) from exc

@@ -26,6 +26,8 @@ MALFORMED_STATES = {
     "string-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": "01", "re": 1.0}]}',
     "float-orbitals": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [2.7, 3.2], "re": 1.0}]}',
     "bool-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": true}]}',
+    "bool-re-beside-float": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": true, "im": 1.0}]}',
+    "bool-orbital": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, true], "re": 1.0}]}',
     "huge-int-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1' + "0" * 400 + "}]}",
     "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
     "huge-d": '{"d": 1000000, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
@@ -52,7 +54,11 @@ MALFORMED_ARGUMENTS = {
     "coefficients-float-tuple": lambda: fermisep.from_coefficients(4, 2, [((0, 1.9), 1)]),
     "coefficients-not-a-pair": lambda: fermisep.from_coefficients(4, 2, [((0, 1),)]),
     "coefficients-string-value": lambda: fermisep.from_coefficients(4, 2, [((0, 1), "1")]),
+    "coefficients-bool-in-tuple": lambda: fermisep.from_coefficients(4, 2, [((0, True), 1)]),
+    "coefficients-generator": lambda: fermisep.from_coefficients(4, 2, (e for e in [((0, 1), 1.0)])),
     "ranks-bool": lambda: _basis().ranks([(False, True)]),
+    "ranks-bool-beside-int": lambda: _basis().ranks([(0, True)]),
+    "ranks-generator": lambda: _basis().ranks(t for t in [(0, 1)]),
     "ranks-nan": lambda: _basis().ranks([(np.nan, 1)]),
     "tolerance-bool": lambda: fermisep.analyze(_state(), tolerance=True),
     "tolerance-complex": lambda: fermisep.analyze(_state(), tolerance=1e-9 + 0j),
@@ -60,6 +66,7 @@ MALFORMED_ARGUMENTS = {
     "amplitudes-strings": lambda: fermisep.FermionState(_basis(), ["1"] * 6),
     "amplitudes-text": lambda: fermisep.FermionState(_basis(), "abcdef"),
     "amplitudes-ragged": lambda: fermisep.FermionState(_basis(), [1, [2, 3], 4, 5, 6, 7]),
+    "amplitudes-bool-beside-float": lambda: fermisep.FermionState(_basis(), [True, 0, 0, 0, 0, 1.0]),
     "spectrum-2d": lambda: fermisep.Spectrum(np.eye(2)),
     "spectrum-strings": lambda: fermisep.Spectrum(["0.5", "0.5"]),
     "spectrum-complex": lambda: fermisep.Spectrum(np.array([0.5 + 0.1j, 0.5])),
@@ -77,6 +84,14 @@ MALFORMED_ARGUMENTS = {
     "direction-ragged": lambda: fermisep.project_single_particle(_state(), [1, [0, 0], 0, 0]),
     "haar-float-d": lambda: fermisep.haar_unitary(4.0, np.random.default_rng(0)),
     "haar-bool-d": lambda: fermisep.haar_unitary(True, np.random.default_rng(0)),
+    "seed-negative": lambda: fermisep.random_state(4, 2, -1),
+    "seed-bool": lambda: fermisep.random_state(4, 2, True),
+    "seed-float": lambda: fermisep.random_slater(4, 2, 1.5),
+    "seed-string": lambda: fermisep.random_slater(4, 2, "a"),
+    "esbl-seed-negative": lambda: fermisep.esbl_check(_state(), seed=-1),
+    "esbl-seed-float": lambda: fermisep.esbl_check(_state(), seed=1.5),
+    "esbl-seed-string": lambda: fermisep.esbl_check(_state(), seed="a"),
+    "esbl-seed-bool": lambda: fermisep.esbl_check(_state(), seed=True),
 }
 
 

@@ -90,6 +90,19 @@ def test_only_the_basis_module_freezes_arrays():
     assert set(freezers) <= {"basis.py"}
 
 
+def test_only_the_basis_module_looks_for_bools():
+    """Inputs are refused for holding a bool by basis.py's one argument rule alone; reporting.py, which renders
+    index tuples and reads no input, is the one other module that may tell a bool from an int."""
+    lookers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            called = isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass")
+            compared = isinstance(node, ast.Compare)
+            if (called or compared) and {"bool", "bool_"} & loaded_names(node):
+                lookers.append(path.name)
+    assert set(lookers) <= {"basis.py", "reporting.py"}
+
+
 def private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

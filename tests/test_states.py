@@ -330,6 +330,26 @@ def test_loader_diagnoses_bad_tuple_with_line():
         assert err.value.line == line
 
 
+def test_loader_diagnoses_bad_number_with_line():
+    for value in ("true", '"1"', "null", "[1.0]", "100000000000000000000"):
+        text = '{"d": 4, "n": 2, "amplitudes": [\n {"orbitals": [0, 1], "re": 1.0},\n {"orbitals": [0, 2], "re": %s}\n]}'
+        with pytest.raises(StateFormatError, match="row 1: ") as err:
+            parse_state(text % value)
+        assert err.value.line == 3
+
+
+def test_loader_reads_each_number_as_complex_does():
+    """Every bit of re and im reaches the state as complex(re, im) gives it, signed zeros included. Normalizing is
+    complex division, which keeps the sign of a zero imaginary part beside a +0 real part, so the (0.0, -0.0) entry
+    would come out with a +0 imaginary part had the parser summed re + 1j * im."""
+    listed = [((0, 1), -0.0, -0.0), ((0, 2), 0.0, -0.0), ((1, 3), 0.6, -0.0), ((2, 3), 3, -0.8)]
+    entries = ",".join(f'{{"orbitals": {list(t)}, "re": {re!r}, "im": {im!r}}}' for t, re, im in listed)
+    state, _ = parse_state('{"d": 4, "n": 2, "amplitudes": [%s]}' % entries)
+    expected = from_coefficients(4, 2, [(t, complex(re, im)) for t, re, im in listed])
+    assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert np.signbit(state.amplitude((0, 2)).imag)
+
+
 def test_load_state_refuses_non_utf8_file(tmp_path):
     path = tmp_path / "state.json"
     path.write_bytes(b"\xff\xfe" + '{"d": 2, "n": 1, "amplitudes": [{"orbitals": [0]}]}'.encode("utf-16-le"))
@@ -407,6 +427,13 @@ def test_malformed_arguments_are_refused_without_a_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(FermisepError):
             call()
+
+
+def test_listings_given_as_iterators_are_refused_as_such():
+    """A first look would use an iterator up, so it is refused, not read as an empty or partial listing."""
+    for name in ("coefficients-generator", "ranks-generator"):
+        with pytest.raises(DimensionError, match="got <generator"):
+            MALFORMED_ARGUMENTS[name]()
 
 
 def test_constructors_copy_and_leave_the_caller_array_writeable():
