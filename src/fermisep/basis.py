@@ -46,8 +46,8 @@ class OrbitalBasisIndex:
             raise DimensionError(f"d and n must be positive, got d={self.d}, n={self.n}")
         if self.n > self.d:
             raise DimensionError(f"antisymmetric states need n <= d, got n={self.n} > d={self.d}")
-        size = comb(self.d, self.n)
-        if size - 1 > np.iinfo(np.intp).max:
+        k = min(self.n, self.d - self.n)  # C(d, k) = C(d, n) >= 2^k, so no huge comb is worked out
+        if k > 63 or (size := comb(self.d, k)) - 1 > np.iinfo(np.intp).max:
             raise DimensionError(f"C({self.d}, {self.n}) basis states are too many to rank as machine integers")
         object.__setattr__(self, "size", size)
 
@@ -102,10 +102,10 @@ def _frozen(value, dtype: type, shape: tuple, what: str) -> np.ndarray:
     except ValueError:  # ragged
         a = np.asarray(None)
     kinds = {np.intp: "iu", np.float64: "iuf", np.complex128: "iufc"}[dtype]
-    fits = a.dtype.kind in kinds and a.ndim == len(shape) and all(k in (None, m) for k, m in zip(shape, a.shape))
-    if not fits or isinstance(value, (list, tuple)) and _holds_bool(value):
-        got = f"{a.dtype} of shape {a.shape}" if a.ndim and not fits else f"{value!r:.80}"
-        raise DimensionError(f"{what}, got {got}")
+    if a.dtype.kind not in kinds or a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):
+        raise DimensionError(f"{what}, got " + (f"{value!r:.80}" if a.ndim == 0 else f"{a.dtype} of shape {a.shape}"))
+    if isinstance(value, (list, tuple)) and _holds_bool(value):
+        raise DimensionError(f"{what}, got {value!r:.80}")
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
@@ -116,35 +116,36 @@ def _holds_bool(value: list | tuple) -> bool:
     return not {bool, np.bool_}.isdisjoint(map(type, np.array(value, dtype=object).flat))
 
 
-def _rows(listing, dtype: type, width: int, what: str, error: type, valid=lambda a: True) -> np.ndarray:
-    """listing, a list, tuple or array of m rows (not an iterator, which a first look would use up), as one read-only
-    m x width array of dtype through _frozen, whose rows all pass valid (a row mask of it); else error(row=k) for the
-    first row this refuses alone, or DimensionError if none is."""
+def _rows(listing, dtype: type, width: int, what: str, error: type, valid=lambda a: np.ones(len(a), bool)):
+    """listing, a list, tuple or array of m rows (an iterator would be used up by a first look), as one read-only m x
+    width array of dtype through _frozen whose rows pass valid, a row mask; else error(row=k) for the first refused row,
+    found by the mask if the listing converts and else a row at a time, or DimensionError if no row is refused alone."""
 
-    def taken(rows) -> np.ndarray | None:
+    def converted(rows) -> np.ndarray | None:
         try:
-            a = _frozen(rows, dtype, (None, width), what) if len(rows) else np.zeros((0, width), dtype)
+            return _frozen(rows, dtype, (None, width), what) if len(rows) else np.zeros((0, width), dtype)
         except DimensionError:  # ragged, another row length, a bool, not of dtype or past its range
             return None
-        return a if np.all(valid(a)) else None
 
     if isinstance(listing, (list, tuple)) or isinstance(listing, np.ndarray) and listing.ndim:
-        if (a := taken(listing)) is not None:
+        if (a := converted(listing)) is not None:
+            refused = iter(np.flatnonzero(~valid(a)))
+        else:  # only a listing that does not convert is taken in a row at a time
+            refused = (k for k, row in enumerate(listing) if (r := converted([row])) is None or not valid(r)[0])
+        if (k := next(refused, None)) is not None:
+            shown = tuple(np.array(listing[k], dtype=object, ndmin=1).tolist())
+            raise error(f"row {k}: {shown!s:.80} is not {width} {what}", row=int(k))
+        if a is not None:
             return a
-        for k, row in enumerate(listing):
-            if taken([row]) is None:
-                shown = tuple(np.array(row, dtype=object, ndmin=1).tolist())
-                raise error(f"row {k}: {shown!s:.80} is not {width} {what}", row=k)
     raise DimensionError(f"expected rows of {width} {what} in one sequence of {np.dtype(dtype)}, got {listing!r:.80}")
 
 
-def _seeded(seed) -> np.random.SeedSequence:
-    """A new SeedSequence from a non-negative integer, or from a SeedSequence, copied so that spawning leaves it be."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DimensionError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r:.80}")
-    return np.random.SeedSequence(int(seed))
+def _seeded(seed, sequences: bool = True) -> int | np.random.SeedSequence:
+    """seed, a non-negative integer or, if sequences, a SeedSequence (spawning changes one); else DimensionError."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+    if not (integer or sequences and isinstance(seed, np.random.SeedSequence)):
+        raise DimensionError(f"seed must be a non-negative integer{' or a SeedSequence' * sequences}, got {seed!r:.80}")
+    return seed
 
 
 def _rank_terms(d: int, k: int, t: np.ndarray) -> np.ndarray:

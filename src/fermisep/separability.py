@@ -213,7 +213,7 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     if state.n < 2:
         raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")
     chains = []
-    for child in _seeded(seed).spawn(samples if state.n > 2 else 1):
+    for child in np.random.SeedSequence(_seeded(seed, sequences=False)).spawn(samples if state.n > 2 else 1):
         rng = np.random.default_rng(child)
         current = state
         norms: list[float] = []

@@ -115,9 +115,7 @@ class LocalUnitary:
         return self.matrix.shape[0]
 
 
-def from_coefficients(
-    d: int, n: int, entries: list[tuple[OrbitalTuple, complex]]
-) -> FermionState:
+def from_coefficients(d: int, n: int, entries: list[tuple[OrbitalTuple, complex]]) -> FermionState:
     """Build a state from (sorted tuple, coefficient) pairs.
 
     Tuples must be valid and distinct; missing tuples get amplitude zero.

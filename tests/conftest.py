@@ -31,6 +31,7 @@ MALFORMED_STATES = {
     "huge-int-re": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1' + "0" * 400 + "}]}",
     "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
     "huge-d": '{"d": 1000000, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
+    "huge-d-and-n": '{"d": 1000000000, "n": 500000000, "amplitudes": [{"orbitals": [0]}]}',
     "deep-nesting": '{"d": 4, "n": 2, "amplitudes": ' + "[" * 100000 + "]" * 100000 + "}",
     "overflowing-norm": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.5e308}, {"orbitals": [2, 3], "re": 1.5e308}]}',
 }
@@ -60,6 +61,7 @@ MALFORMED_ARGUMENTS = {
     "ranks-bool-beside-int": lambda: _basis().ranks([(0, True)]),
     "ranks-generator": lambda: _basis().ranks(t for t in [(0, 1)]),
     "ranks-nan": lambda: _basis().ranks([(np.nan, 1)]),
+    "basis-huge-d-and-n": lambda: fermisep.OrbitalBasisIndex(10**9, 5 * 10**8),
     "tolerance-bool": lambda: fermisep.analyze(_state(), tolerance=True),
     "tolerance-complex": lambda: fermisep.analyze(_state(), tolerance=1e-9 + 0j),
     "amplitudes-2d": lambda: fermisep.FermionState(_basis(), np.ones((2, 3))),
@@ -92,6 +94,7 @@ MALFORMED_ARGUMENTS = {
     "esbl-seed-float": lambda: fermisep.esbl_check(_state(), seed=1.5),
     "esbl-seed-string": lambda: fermisep.esbl_check(_state(), seed="a"),
     "esbl-seed-bool": lambda: fermisep.esbl_check(_state(), seed=True),
+    "esbl-seed-sequence": lambda: fermisep.esbl_check(_state(), seed=np.random.SeedSequence(0)),
 }
 
 

@@ -105,8 +105,10 @@ REFUSED_CALLS = {
     # A state file holds d <= 2048 whether it is read or written.
     "random-d-past-state-file-limit": "random --d 2049 --n 1 --out {out}",
     # Bases refused before anything is allocated: past the range of the
-    # ranks, and within it but past what numpy can size.
+    # ranks (the last one before C(d, n) is worked out, which would take
+    # hours), and within it but past what numpy can size.
     "random-basis-too-large": "random --d 100000 --n 50000 --out {out}",
+    "random-basis-too-large-to-count": "random --d 1000000000 --n 500000000 --out {out}",
     "random-slater-basis-too-large": "random --d 60 --n 30 --slater --out {out}",
     "esbl-one-fermion": "esbl {one}",
     "analyze-non-utf8": "analyze {utf16}",
