@@ -14,6 +14,8 @@ Orbitals are 0-based everywhere, in code and in file formats.
 
 from __future__ import annotations
 
+import reprlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
@@ -103,9 +105,9 @@ def _frozen(value, dtype: type, shape: tuple, what: str) -> np.ndarray:
         a = np.asarray(None)
     kinds = {np.intp: "iu", np.float64: "iuf", np.complex128: "iufc"}[dtype]
     if a.dtype.kind not in kinds or a.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, a.shape)):
-        raise DimensionError(f"{what}, got " + (f"{value!r:.80}" if a.ndim == 0 else f"{a.dtype} of shape {a.shape}"))
+        raise DimensionError(f"{what}, got " + (_shown(value) if a.ndim == 0 else f"{a.dtype} of shape {a.shape}"))
     if isinstance(value, (list, tuple)) and _holds_bool(value):
-        raise DimensionError(f"{what}, got {value!r:.80}")
+        raise DimensionError(f"{what}, got {_shown(value)}")
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
@@ -116,35 +118,55 @@ def _holds_bool(value: list | tuple) -> bool:
     return not {bool, np.bool_}.isdisjoint(map(type, np.array(value, dtype=object).flat))
 
 
+class _Shown(reprlib.Repr):
+    """A caller's value echoed in a message: its repr, built from a bounded part of it and cut to 80 characters. An
+    int past 240 bits is named by its bit length, as reprlib prints every int in full and Python refuses one of more
+    than 4300 digits. Limits are set on the instance, as Repr(**limits) needs Python 3.12."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxstring = self.maxother = 80
+        self.maxtuple = self.maxlist = 40  # past 80 characters however short each entry
+
+    def repr_int(self, x: int, level: int) -> str:
+        return repr(x) if x.bit_length() <= 240 else f"<int of {x.bit_length()} bits>"
+
+    def __call__(self, value) -> str:
+        return self.repr(value)[:80]
+
+
+_shown = _Shown()
+
+
 def _rows(listing, dtype: type, width: int, what: str, error: type, valid=lambda a: np.ones(len(a), bool)):
     """listing, a list, tuple or array of m rows (an iterator would be used up by a first look), as one read-only m x
     width array of dtype through _frozen whose rows pass valid, a row mask; else error(row=k) for the first refused row,
-    found by the mask if the listing converts and else a row at a time, or DimensionError if no row is refused alone."""
+    found by halving [0, m), or DimensionError if no row is refused alone; echoed values are shortened by _shown."""
 
-    def converted(rows) -> np.ndarray | None:
-        try:
+    def converted(rows) -> np.ndarray | None:  # None if ragged, a bool, of another width or dtype, or out of range
+        with suppress(DimensionError):
             return _frozen(rows, dtype, (None, width), what) if len(rows) else np.zeros((0, width), dtype)
-        except DimensionError:  # ragged, another row length, a bool, not of dtype or past its range
-            return None
+
+    def refused(lo: int, hi: int) -> bool:  # some row in [lo, hi) is refused: a slice of a, else those rows converted
+        return (r := converted(listing[lo:hi]) if a is None else a[lo:hi]) is None or not valid(r).all()
 
     if isinstance(listing, (list, tuple)) or isinstance(listing, np.ndarray) and listing.ndim:
-        if (a := converted(listing)) is not None:
-            refused = iter(np.flatnonzero(~valid(a)))
-        else:  # only a listing that does not convert is taken in a row at a time
-            refused = (k for k, row in enumerate(listing) if (r := converted([row])) is None or not valid(r)[0])
-        if (k := next(refused, None)) is not None:
-            shown = tuple(np.array(listing[k], dtype=object, ndmin=1).tolist())
-            raise error(f"row {k}: {shown!s:.80} is not {width} {what}", row=int(k))
-        if a is not None:
+        if (a := converted(listing)) is not None and valid(a).all():
             return a
-    raise DimensionError(f"expected rows of {width} {what} in one sequence of {np.dtype(dtype)}, got {listing!r:.80}")
+        lo, hi = 0, len(listing)
+        while hi - lo > 1:  # [lo, hi) holds the first refused row, if any row is refused alone
+            lo, hi = (lo, mid) if refused(lo, mid := (lo + hi) // 2) else (mid, hi)
+        if refused(lo, hi):
+            shown = tuple(np.array(listing[lo], dtype=object, ndmin=1).tolist())
+            raise error(f"row {lo}: {_shown(shown)} is not {width} {what}", row=lo)
+    raise DimensionError(f"expected rows of {width} {what} in one sequence of {np.dtype(dtype)}, got {_shown(listing)}")
 
 
 def _seeded(seed, sequences: bool = True) -> int | np.random.SeedSequence:
     """seed, a non-negative integer or, if sequences, a SeedSequence (spawning changes one); else DimensionError."""
     integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
     if not (integer or sequences and isinstance(seed, np.random.SeedSequence)):
-        raise DimensionError(f"seed must be a non-negative integer{' or a SeedSequence' * sequences}, got {seed!r:.80}")
+        raise DimensionError(f"seed must be a non-negative integer{' or a SeedSequence' * sequences}, got {_shown(seed)}")
     return seed
 
 

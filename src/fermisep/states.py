@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated, _frozen, _rows, _seeded
+from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated, _frozen, _rows, _seeded, _shown
 from .errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -123,9 +123,10 @@ def from_coefficients(d: int, n: int, entries: list[tuple[OrbitalTuple, complex]
     """
     basis = OrbitalBasisIndex(d, n)
     if not isinstance(entries, (list, tuple)):  # an iterator would be used up by the pair check
-        raise DimensionError(f"entries must be a list of (tuple, coefficient) pairs, got {entries!r:.80}")
-    if unpaired := [k for k, e in enumerate(entries) if not (isinstance(e, (tuple, list)) and len(e) == 2)]:
-        raise DimensionError(f"row {unpaired[0]}: expected a (tuple, coefficient) pair, got {entries[unpaired[0]]!r}")
+        raise DimensionError(f"entries must be a list of (tuple, coefficient) pairs, got {_shown(entries)}")
+    unpaired = (k for k, e in enumerate(entries) if not (isinstance(e, (tuple, list)) and len(e) == 2))
+    if (k := next(unpaired, None)) is not None:
+        raise DimensionError(f"row {k}: expected a (tuple, coefficient) pair, got {_shown(entries[k])}")
     return FermionState(basis, _listed_amplitudes(basis, [t for t, _ in entries], [v for _, v in entries]))
 
 
@@ -273,8 +274,9 @@ def parse_state(text: str) -> tuple[FermionState, float]:
         _check_file_d(basis.d)
         if not isinstance(entries, list) or not entries:
             raise StateFormatError("amplitudes must be a non-empty array")
-        if bad := [k for k, e in enumerate(entries) if not (isinstance(e, dict) and "orbitals" in e)]:
-            raise _RowError(f"amplitude entry {bad[0]} must be an object with orbitals", row=bad[0])
+        bad = (k for k, e in enumerate(entries) if not (isinstance(e, dict) and "orbitals" in e))
+        if (k := next(bad, None)) is not None:
+            raise _RowError(f"amplitude entry {k} must be an object with orbitals", row=k)
         pairs = _rows([(e.get("re", 0.0), e.get("im", 0.0)) for e in entries], np.float64, 2, "real numbers", _RowError)
         c = _listed_amplitudes(basis, [e["orbitals"] for e in entries], pairs.view(np.complex128)[:, 0])
     except _RowError as exc:  # locating an entry rescans the text, so it is done on failure only

@@ -95,6 +95,15 @@ MALFORMED_ARGUMENTS = {
     "esbl-seed-string": lambda: fermisep.esbl_check(_state(), seed="a"),
     "esbl-seed-bool": lambda: fermisep.esbl_check(_state(), seed=True),
     "esbl-seed-sequence": lambda: fermisep.esbl_check(_state(), seed=np.random.SeedSequence(0)),
+    # Ints past Python's 4300-digit printing limit, echoed in the message by their bit length.
+    "tolerance-huge-int": lambda: fermisep.analyze(_state(), tolerance=10**5000),
+    "ranks-huge-int-in-row": lambda: _basis().ranks([[0, 10**5000]]),
+    "ranks-huge-int": lambda: _basis().ranks(10**5000),
+    "coefficients-huge-int": lambda: fermisep.from_coefficients(4, 2, 10**5000),
+    "coefficients-huge-int-entry": lambda: fermisep.from_coefficients(4, 2, [((0, 1), 1.0), 10**5000]),
+    "seed-huge-negative-int": lambda: fermisep.random_state(4, 2, -(10**5000)),
+    "samples-huge-int": lambda: fermisep.esbl_check(_state(), samples=10**5000),
+    "basis-huge-int-d": lambda: fermisep.OrbitalBasisIndex(10**5000, 2),
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import enumerated_tuples, reference_annihilate, reference_rank
+from fermisep import basis as basis_module
 from fermisep.basis import OrbitalBasisIndex, _annihilation_table
 from fermisep.errors import DimensionError, InvalidTupleError
 from fermisep.states import from_coefficients, random_state
@@ -112,6 +113,21 @@ def test_invalid_tuples_rejected():
         assert err.value.row == row
         assert str(err.value) == f"row {row}: {t} is not 2 strictly increasing orbitals in [0, 4)"
     assert b.ranks([]).tolist() == []
+
+
+def test_a_refused_row_is_found_in_logarithmically_many_conversions(monkeypatch):
+    """The first refused row of 4096 is found by halving: a bool in the last row, so the listing does not convert
+    and its halves are converted in turn, or a reversed last tuple, read off the one converted array."""
+    calls = []
+    frozen = basis_module._frozen
+    monkeypatch.setattr(basis_module, "_frozen", lambda *args: calls.append(1) or frozen(*args))
+    for last in [(0, True), (1, 0)]:
+        calls.clear()
+        with pytest.raises(InvalidTupleError) as err:
+            OrbitalBasisIndex(4, 2).ranks([(0, 1)] * 4095 + [last])
+        assert err.value.row == 4095
+        assert str(err.value) == f"row 4095: {last} is not 2 strictly increasing orbitals in [0, 4)"
+        assert len(calls) <= 2 * 13 + 2  # 4096 = 2^12 rows: at most two conversions a halving, and one each side
 
 
 def test_dimension_validation():

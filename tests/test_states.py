@@ -423,10 +423,12 @@ def test_parser_parses_or_refuses_any_text(text):
 
 @pytest.mark.parametrize("call", MALFORMED_ARGUMENTS.values(), ids=MALFORMED_ARGUMENTS.keys())
 def test_malformed_arguments_are_refused_without_a_warning(call):
+    """Each call raises a FermisepError, with no warning and a message under 200 characters, whatever it echoes."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FermisepError):
+        with pytest.raises(FermisepError) as err:
             call()
+    assert len(str(err.value)) < 200
 
 
 def test_listings_given_as_iterators_are_refused_as_such():
