@@ -27,6 +27,11 @@ from .errors import DimensionError, InvalidTupleError
 
 OrbitalTuple = tuple[int, ...]
 
+# Largest number of orbitals: a d x d marginal is 16 d^2 bytes, 64 MiB here, and C(d, n) stays quick to work out.
+MAX_D = 2048
+# Largest analysis working set of a basis, in bytes (see OrbitalBasisIndex); every rank is then far inside intp.
+BYTE_BUDGET = 2**32
+
 
 @dataclass(frozen=True)
 class OrbitalBasisIndex:
@@ -34,7 +39,11 @@ class OrbitalBasisIndex:
 
     d: number of single-particle orbitals (D).
     n: number of fermions (N), with N <= D.
-    size: C(D, N), the number of basis states, at most 2^63 so that every rank is an intp.
+    size: C(D, N), the number of basis states.
+
+    A basis is refused with DimensionError when D > MAX_D, or when the arrays an analysis holds
+    pass BYTE_BUDGET: the amplitudes c (16 bytes each), tuples() and the annihilation table
+    (8 N bytes each per state), and Phi with its conjugate copy (32 D bytes per (N-1)-tuple).
     """
 
     d: int
@@ -48,9 +57,11 @@ class OrbitalBasisIndex:
             raise DimensionError(f"d and n must be positive, got d={self.d}, n={self.n}")
         if self.n > self.d:
             raise DimensionError(f"antisymmetric states need n <= d, got n={self.n} > d={self.d}")
-        k = min(self.n, self.d - self.n)  # C(d, k) = C(d, n) >= 2^k, so no huge comb is worked out
-        if k > 63 or (size := comb(self.d, k)) - 1 > np.iinfo(np.intp).max:
-            raise DimensionError(f"C({self.d}, {self.n}) basis states are too many to rank as machine integers")
+        if self.d > MAX_D:
+            raise DimensionError(f"d must be at most {MAX_D}, got d={self.d}")
+        size = comb(self.d, self.n)
+        if 16 * size * (self.n + 1) + 32 * self.d * comb(self.d, self.n - 1) > BYTE_BUDGET:
+            raise DimensionError(f"C({self.d}, {self.n}) basis states need more than {BYTE_BUDGET} bytes to analyze")
         object.__setattr__(self, "size", size)
 
     def rank(self, orbitals: OrbitalTuple) -> int:
@@ -72,7 +83,7 @@ class OrbitalBasisIndex:
     def tuples(self) -> np.ndarray:
         """All basis tuples as a size x n array, rows in lexicographic (rank) order; cached, so read-only."""
         flat = chain.from_iterable(combinations(range(self.d), self.n))
-        t = _allocated(self, lambda: np.fromiter(flat, np.intp, self.size * self.n).reshape(self.size, self.n))
+        t = np.fromiter(flat, np.intp, self.size * self.n).reshape(self.size, self.n)
         t.flags.writeable = False
         return t
 
@@ -88,17 +99,9 @@ class OrbitalBasisIndex:
         return phi
 
 
-def _allocated(basis: OrbitalBasisIndex, make):
-    """make(), a basis-sized array, with numpy's refusal to allocate it as DimensionError."""
-    try:
-        return make()
-    except (ValueError, MemoryError) as exc:
-        raise DimensionError(f"C({basis.d}, {basis.n}) basis states are too many to allocate") from exc
-
-
 def _frozen(value, dtype: type, shape: tuple, what: str) -> np.ndarray:
     """Read-only copy of value as dtype and shape (None: any length). DimensionError "{what}, got ..." if ragged, of
-    str, object or bool dtype, not integers for an int dtype, complex for a real one, or a list or tuple with a bool."""
+    str, object or bool dtype, not intp integers for intp, complex for a real one, or a list or tuple with a bool."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged
@@ -108,6 +111,8 @@ def _frozen(value, dtype: type, shape: tuple, what: str) -> np.ndarray:
         raise DimensionError(f"{what}, got " + (_shown(value) if a.ndim == 0 else f"{a.dtype} of shape {a.shape}"))
     if isinstance(value, (list, tuple)) and _holds_bool(value):
         raise DimensionError(f"{what}, got {_shown(value)}")
+    if dtype is np.intp and np.any(a > np.iinfo(np.intp).max):  # an unsigned int in [2^63, 2^64) would wrap around
+        raise DimensionError(f"{what}, got {_shown(value)}, past the range of {np.dtype(np.intp)}")
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a

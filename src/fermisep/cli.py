@@ -316,15 +316,15 @@ def cmd_projection_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a package error or I/O failure prints `error: ...` and becomes its exit code."""
+    """Run one subcommand; a package error, I/O failure or MemoryError prints `error: ...` and becomes its exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FermisepError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FermisepError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, NotADensityMatrixError):
             return EXIT_NUMERIC
-        return EXIT_USAGE if isinstance(exc, FermisepError) else EXIT_IO
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, _frozen, _seeded
+from .basis import OrbitalBasisIndex, _frozen, _seeded, _shown
 from .errors import DimensionError, UnsupportedError
 from .rdm import ReducedDensityMatrix, compute_rdm
 from .spectral import Spectrum, eigenvalues, purity
@@ -94,10 +94,12 @@ def idempotency_defect(rdm: ReducedDensityMatrix) -> float:
     return float(np.max(np.abs(rho @ rho - rho / rdm.n)))
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Raise DimensionError unless the verdict tolerance is a real number, positive and finite."""
-    if not 0.0 < _frozen(tolerance, np.float64, (), "tolerance must be positive and finite") < math.inf:
-        raise DimensionError(f"tolerance must be positive and finite, got {tolerance!r}")
+def check_tolerance(tolerance: float) -> float:
+    """The verdict tolerance as a float; DimensionError unless it is a real number, positive and finite."""
+    checked = float(_frozen(tolerance, np.float64, (), "tolerance must be positive and finite"))
+    if not 0.0 < checked < math.inf:
+        raise DimensionError(f"tolerance must be positive and finite, got {_shown(tolerance)}")
+    return checked
 
 
 def analyze(
@@ -115,7 +117,7 @@ def analyze(
     recomputation; N is then the marginal's own. The tolerance must be
     positive and finite.
     """
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(tolerance)
     rho = compute_rdm(state) if rdm is None else rdm
     n = rho.n
     p = purity(rho)

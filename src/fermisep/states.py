@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, OrbitalTuple, _allocated, _frozen, _rows, _seeded, _shown
+from .basis import OrbitalBasisIndex, OrbitalTuple, _frozen, _rows, _seeded, _shown
 from .errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -34,8 +34,6 @@ from .errors import (
 
 UNITARY_TOL = 1e-10
 DEPENDENCE_TOL = 1e-10
-# Largest d a state file may give, read or written: the D x D marginal is 16 d^2 bytes, 64 MiB here.
-MAX_MARGINAL_D = 2048
 # Whitespace around at most one separator: what lies between two JSON values.
 _JSON_GAP = re.compile(r"[ \t\n\r]*[,:\[{]?[ \t\n\r]*")
 
@@ -132,7 +130,7 @@ def from_coefficients(d: int, n: int, entries: list[tuple[OrbitalTuple, complex]
 
 def _listed_amplitudes(basis: OrbitalBasisIndex, tuples, values) -> np.ndarray:
     """values[k] at the rank of tuples[k] and zero elsewhere; InvalidTupleError and DuplicateEntryError name a row."""
-    c = _allocated(basis, lambda: np.zeros(basis.size, dtype=np.complex128))
+    c = np.zeros(basis.size, dtype=np.complex128)
     r = basis.ranks(tuples)
     first = np.unique(r, return_index=True)[1]
     if len(first) < len(r):
@@ -201,13 +199,12 @@ def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionS
     """Haar-like random state: i.i.d. complex Gaussian amplitudes, normalized."""
     rng = np.random.default_rng(_seeded(seed))
     basis = OrbitalBasisIndex(d, n)
-    c = _allocated(basis, lambda: rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
-    return FermionState(basis, c)
+    return FermionState(basis, rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
 
 
 def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
     """Random Slater-rank-one state from N Gaussian orbitals, orthonormalized."""
-    OrbitalBasisIndex(d, n)  # refuses bad dimensions before numpy sees a negative shape
+    OrbitalBasisIndex(d, n)  # refuses bad dimensions and sizes before numpy sees a shape
     rng = np.random.default_rng(_seeded(seed))
     m = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
     return slater_from_orbitals(m)
@@ -244,12 +241,6 @@ def _entry_line(text: str, index: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def _check_file_d(d: int) -> None:
-    """Raise StateFormatError for a d past MAX_MARGINAL_D, in either direction of the file format."""
-    if d > MAX_MARGINAL_D:
-        raise StateFormatError(f"d={d} is more than {MAX_MARGINAL_D}, too large for its d x d marginal")
-
-
 def parse_state(text: str) -> tuple[FermionState, float]:
     """Parse a JSON state document; returns (state, pre-normalization norm).
 
@@ -271,7 +262,6 @@ def parse_state(text: str) -> tuple[FermionState, float]:
     entries = doc["amplitudes"]
     try:
         basis = OrbitalBasisIndex(doc["d"], doc["n"])
-        _check_file_d(basis.d)
         if not isinstance(entries, list) or not entries:
             raise StateFormatError("amplitudes must be a non-empty array")
         bad = (k for k, e in enumerate(entries) if not (isinstance(e, dict) and "orbitals" in e))
@@ -302,8 +292,7 @@ def load_state(path: str | Path) -> tuple[FermionState, float]:
 
 
 def state_document(state: FermionState) -> dict:
-    """JSON-ready document for a state, omitting exactly-zero amplitudes; StateFormatError past MAX_MARGINAL_D."""
-    _check_file_d(state.d)
+    """JSON-ready document for a state, omitting exactly-zero amplitudes."""
     nonzero = np.flatnonzero(state.amplitudes)
     entries = [
         {"orbitals": orbitals, "re": float(value.real), "im": float(value.imag)}

@@ -32,6 +32,10 @@ MALFORMED_STATES = {
     "oversized": '{"d": 200, "n": 100, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}',
     "huge-d": '{"d": 1000000, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1.0}]}',
     "huge-d-and-n": '{"d": 1000000000, "n": 500000000, "amplitudes": [{"orbitals": [0]}]}',
+    # An unsigned 64-bit d, which a cast to intp would wrap to -2^63.
+    "d-past-int64": '{"d": 9223372036854775808, "n": 1, "amplitudes": [{"orbitals": [0], "re": 1}]}',
+    # One entry, but C(30, 9) = 14.3M states need about 7.5 GiB to analyze.
+    "past-byte-budget": '{"d": 30, "n": 9, "amplitudes": [{"orbitals": [0, 1, 2, 3, 4, 5, 6, 7, 8], "re": 1.0}]}',
     "deep-nesting": '{"d": 4, "n": 2, "amplitudes": ' + "[" * 100000 + "]" * 100000 + "}",
     "overflowing-norm": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.5e308}, {"orbitals": [2, 3], "re": 1.5e308}]}',
 }
@@ -104,6 +108,10 @@ MALFORMED_ARGUMENTS = {
     "seed-huge-negative-int": lambda: fermisep.random_state(4, 2, -(10**5000)),
     "samples-huge-int": lambda: fermisep.esbl_check(_state(), samples=10**5000),
     "basis-huge-int-d": lambda: fermisep.OrbitalBasisIndex(10**5000, 2),
+    # Unsigned integers in [2^63, 2^64), which a cast to intp would wrap around.
+    "basis-uint64-n": lambda: fermisep.OrbitalBasisIndex(4, np.uint64(2**64 - 1)),
+    "haar-uint64-d": lambda: fermisep.haar_unitary(np.uint64(2**63 + 1), np.random.default_rng(0)),
+    "samples-past-int64": lambda: fermisep.esbl_check(_state(), samples=2**64 - 1),
 }
 
 

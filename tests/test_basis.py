@@ -52,10 +52,12 @@ def test_rank_matches_enumeration(d, n):
 
 
 @pytest.mark.parametrize("d, n", [(80, 78), (64, 32)])
-def test_closed_form_rank_on_bases_with_huge_binomials(d, n):
+def test_closed_form_rank_on_bases_with_huge_binomials(monkeypatch, d, n):
     # At (80, 78) a table of every C(a, b) with a < d, b <= n overflows int64
     # (C(79, 39) > 2^63), so only reachable entries may be tabulated; at
-    # (64, 32) the ranks themselves come within a factor 5 of 2^63.
+    # (64, 32) the ranks themselves come within a factor 5 of 2^63. Such a
+    # basis is past the byte budget, which is lifted here: ranks need no table.
+    monkeypatch.setattr(basis_module, "BYTE_BUDGET", float("inf"))
     b = OrbitalBasisIndex(d, n)
     rng = np.random.default_rng([d, n])
     rows = np.sort(np.array([rng.choice(d, n, replace=False) for _ in range(300)]), axis=1)
@@ -141,6 +143,26 @@ def test_dimension_validation():
             with pytest.raises(DimensionError, match="must be integers"):
                 make(d, n)
     assert OrbitalBasisIndex(np.int64(6), np.int32(3)).tuples() is OrbitalBasisIndex(6, 3).tuples()
+
+
+def test_unsigned_integers_past_intp_are_refused_as_given():
+    """An unsigned int in [2^63, 2^64) is refused and echoed as given, not wrapped around to a negative intp."""
+    for d, n, given in [(4, np.uint64(2**64 - 1), "18446744073709551615"), (2**63, 1, "9223372036854775808")]:
+        with pytest.raises(DimensionError, match=f"got (np.uint64\\()?{given}\\)?, past the range of int64"):
+            OrbitalBasisIndex(d, n)
+
+
+def test_ladder_benchmark_and_verify_bases_are_within_the_byte_budget():
+    """Constructor only: the ladder points, the benchmark sizes and every cell of verify's grids up to (12, 5)."""
+    ladder = [(24, 7), (28, 7), (24, 17)]
+    benchmarks = [(10, 5), (20, 5), (12, 5)]
+    for d, n in ladder + benchmarks + [(d, n) for n in range(2, 6) for d in range(n, 13)]:
+        assert OrbitalBasisIndex(d, n).size > 0
+    with pytest.raises(DimensionError, match="bytes to analyze"):
+        OrbitalBasisIndex(30, 9)
+    with pytest.raises(DimensionError, match="at most 2048"):
+        OrbitalBasisIndex(2049, 1)
+    assert OrbitalBasisIndex(2048, 1).size == 2048
 
 
 def reference_small(d, n):

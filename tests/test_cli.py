@@ -102,14 +102,15 @@ REFUSED_CALLS = {
     "esbl-zero-samples": "esbl {pair} --samples 0",
     "random-n-above-d": "random --d 3 --n 4 --out {out}",
     "random-slater-negative-d": "random --d -1 --n 1 --slater --out {out}",
-    # A state file holds d <= 2048 whether it is read or written.
+    # Bases refused by OrbitalBasisIndex before anything is allocated: d above
+    # 2048, without working out C(d, n) (which takes hours for the third), or
+    # past the byte budget (the last two; C(30, 9) = 14.3M states need about
+    # 7.5 GiB to analyze).
     "random-d-past-state-file-limit": "random --d 2049 --n 1 --out {out}",
-    # Bases refused before anything is allocated: past the range of the
-    # ranks (the last one before C(d, n) is worked out, which would take
-    # hours), and within it but past what numpy can size.
     "random-basis-too-large": "random --d 100000 --n 50000 --out {out}",
     "random-basis-too-large-to-count": "random --d 1000000000 --n 500000000 --out {out}",
     "random-slater-basis-too-large": "random --d 60 --n 30 --slater --out {out}",
+    "random-basis-past-byte-budget": "random --d 30 --n 9 --out {out}",
     "esbl-one-fermion": "esbl {one}",
     "analyze-non-utf8": "analyze {utf16}",
     "random-non-integer-seed": "random --d 4 --n 2 --seed abc --out {out}",
@@ -143,6 +144,16 @@ def test_refused_call_exits_2_without_traceback(tmp_path, fixtures_dir, call):
     assert "error" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+def test_lack_of_memory_exits_2_with_an_error_line(capsys, monkeypatch, fixtures_dir):
+    def exhausted(state):
+        raise MemoryError()
+
+    monkeypatch.setattr(fermisep.cli, "compute_rdm", exhausted)
+    code, _, err = run(capsys, "analyze", str(fixtures_dir / "localized_pair.json"))
+    assert code == 2
+    assert err == "error: out of memory\n"
 
 
 def test_analyze_rejects_bad_tolerance(capsys, fixtures_dir):

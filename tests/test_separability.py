@@ -1,5 +1,6 @@
 """Separability verdicts, entanglement measures, and the projection check."""
 
+import json
 import math
 import warnings
 from itertools import combinations
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fermisep import separability
 from fermisep.errors import DimensionError, UnsupportedError
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
+from fermisep.reporting import render_json
 from fermisep.separability import (
     EsblSample,
     analyze,
@@ -176,6 +178,17 @@ def test_esbl_refuses_one_fermion():
 def test_analyze_refuses_tolerance_not_positive_and_finite(tolerance):
     with pytest.raises(DimensionError, match="tolerance must be positive and finite"):
         analyze(random_state(4, 2, 0), tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [np.int64(1), np.uint64(2**64 - 1)], ids=["int64", "uint64-max"])
+def test_analyze_keeps_the_tolerance_it_checked_as_a_float(tolerance):
+    """A numpy integer tolerance is stored as a float: the report renders, and tolerance * N cannot wrap around."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(random_state(4, 2, 0), tolerance=tolerance)
+    assert type(report.tolerance) is float and report.tolerance == float(tolerance)
+    assert json.loads(render_json(report.to_dict()))["tolerance"] == float(tolerance)
+    assert report.verdict_entropy
 
 
 @pytest.mark.parametrize("slater", [False, True])

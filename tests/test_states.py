@@ -1,6 +1,7 @@
 """Construction, normalization, transformation, and file round-trips of states."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_ARGUMENTS, MALFORMED_STATES, enumerated_tuples, random_unitary, reference_exterior_power
+from fermisep import basis as basis_module
 from fermisep.basis import OrbitalBasisIndex
 from fermisep.errors import (
     DegenerateOrbitalsError,
@@ -238,6 +240,40 @@ def test_basis_whose_ranks_pass_the_integer_range_is_refused():
     # C(70, 35) is about 1.1e20, past 2^63, so its ranks cannot be machine integers.
     with pytest.raises(DimensionError):
         OrbitalBasisIndex(70, 35)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_state(30, 9, 0),
+        lambda: random_slater(30, 9, 0),
+        lambda: from_coefficients(100000, 1, [((0,), 1.0)]),
+        lambda: haar_unitary(100000, np.random.default_rng(0)),
+    ],
+    ids=["random-state", "random-slater", "coefficients", "haar"],
+)
+def test_a_basis_past_the_size_rule_is_refused_before_anything_is_allocated(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="bytes to analyze|at most 2048"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_every_builder_refuses_a_basis_past_the_byte_budget(monkeypatch):
+    # C(12, 5) = 792 states need about 260 KiB to analyze.
+    monkeypatch.setattr(basis_module, "BYTE_BUDGET", 4096)
+    text = '{"d": 12, "n": 5, "amplitudes": [{"orbitals": [0, 1, 2, 3, 4], "re": 1.0}]}'
+    for call in (
+        lambda: random_state(12, 5, 0),
+        lambda: parse_state(text),
+        lambda: from_coefficients(12, 5, [((0, 1, 2, 3, 4), 1.0)]),
+    ):
+        with pytest.raises(FermisepError, match="C\\(12, 5\\) basis states need more than 4096 bytes"):
+            call()
 
 
 @given(st.integers(0, 2**32 - 1))
