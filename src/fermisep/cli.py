@@ -177,7 +177,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     kind, maker = ("slater", random_slater) if args.slater else ("state", random_state)
-    for i, child in enumerate(np.random.SeedSequence(args.seed).spawn(args.count)):
+    for i in range(args.count):
+        child = np.random.SeedSequence(args.seed, spawn_key=(i,))  # SeedSequence(seed).spawn(count)[i]
         path = args.out / f"{kind}-d{args.d}-n{args.n}-seed{args.seed}-{i:04d}.json"
         save_state(maker(args.d, args.n, child), path)
         print(path)
@@ -186,7 +187,7 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 def _cells(n_max: int, d_max: int) -> list[tuple[int, int]]:
     """The (n, d) grid of verify and measure-sweep: 2 <= n <= n_max, n <= d <= d_max."""
-    return [(n, d) for n in range(2, n_max + 1) for d in range(n, d_max + 1)]
+    return [(n, d) for n in range(2, min(n_max, d_max) + 1) for d in range(n, d_max + 1)]
 
 
 def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str]]:

@@ -47,7 +47,7 @@ class UnsupportedError(FermisepError, ValueError):
 
 
 class ResourceLimitError(FermisepError, ValueError):
-    """Requested instance exceeds the configured dense-verification cap."""
+    """Requested instance exceeds the dense-verification cap, oracle.DENSE_CAP."""
 
 
 class StateFormatError(FermisepError, ValueError):

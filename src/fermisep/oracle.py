@@ -3,9 +3,8 @@
 The full D^N tensor of antisymmetric coefficients, which the rest of the
 package deliberately avoids, with its explicit partial trace; and the
 O(M^2 D) pairwise sum behind the purity identity of the diagonal
-decomposition. No analysis module imports this one. A hard cap on D^N
-(default 10^6, overridable through the FERMISEP_ORACLE_CAP environment
-variable) guards against accidental exponential blow-up; check_cap is the
+decomposition. No analysis module imports this one. A fixed cap on D^N,
+DENSE_CAP, guards against accidental exponential blow-up; check_cap is the
 one place that enforces it, for densify and for callers that size a grid of
 instances up front.
 
@@ -17,7 +16,6 @@ bound sum_i F_i^2 <= 1/N used by the separability criteria.
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
 from math import factorial
 
@@ -28,37 +26,23 @@ from .errors import DimensionError, ResourceLimitError
 from .rdm import ReducedDensityMatrix
 from .states import FermionState
 
-DEFAULT_CAP = 10**6
-CAP_ENV_VAR = "FERMISEP_ORACLE_CAP"
-
-
-def oracle_cap() -> int:
-    """Current D^N cap, from the environment when set."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ResourceLimitError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ResourceLimitError(f"{CAP_ENV_VAR} must be positive, got {cap}")
-    return cap
+# Dense entries: a 16 MB complex tensor, which holds the default and CI verify
+# grids (6^5 = 7 776 and 12^5 = 248 832 entries).
+DENSE_CAP = 10**6
 
 
 def check_cap(d: int, n: int) -> None:
     """Raise ResourceLimitError when a dense D^N tensor would exceed the cap."""
-    cap = oracle_cap()
-    # From d > cap, or d >= 2 and 2^n > cap, d^n is past the cap already; such
-    # sizes are named as d^n, because the power itself can take seconds and be
-    # too long for Python to print.
-    if n >= 1 and (d > cap or (d >= 2 and n >= cap.bit_length())):
+    # From d > DENSE_CAP, or d >= 2 and 2^n > DENSE_CAP, d^n is past the cap
+    # already; such sizes are named as d^n, because the power itself can take
+    # seconds and be too long for Python to print.
+    if n >= 1 and (d > DENSE_CAP or (d >= 2 and n >= DENSE_CAP.bit_length())):
         size = f"{d}^{n}"
-    elif d**n > cap:
+    elif d**n > DENSE_CAP:
         size = str(d**n)
     else:
         return
-    raise ResourceLimitError(f"dense tensor needs {size} entries, above the cap {cap} (override with {CAP_ENV_VAR})")
+    raise ResourceLimitError(f"dense tensor needs {size} entries, above the cap {DENSE_CAP}")
 
 
 def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:

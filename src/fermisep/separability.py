@@ -214,9 +214,10 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
         raise DimensionError(f"need at least one sample, got {samples}")
     if state.n < 2:
         raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")
+    entropy = _seeded(seed, sequences=False)
     chains = []
-    for child in np.random.SeedSequence(_seeded(seed, sequences=False)).spawn(samples if state.n > 2 else 1):
-        rng = np.random.default_rng(child)
+    for k in range(samples if state.n > 2 else 1):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))  # SeedSequence(seed).spawn(...)[k]
         current = state
         norms: list[float] = []
         record = None

@@ -14,7 +14,8 @@ import fermisep.cli
 from fermisep.cli import main
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import load_report_schema
-from fermisep.separability import EsblResult, analyze
+from fermisep.separability import EsblResult, analyze, esbl_check
+from fermisep.states import load_state
 
 
 def run(capsys, *argv):
@@ -173,6 +174,27 @@ def test_random_is_byte_deterministic(capsys, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_seed_children_are_made_as_they_are_used(capsys, monkeypatch, fixtures_dir, tmp_path):
+    # No list of --count files' or samples' children is built up front: with
+    # SeedSequence.spawn unusable, the files and the esbl result are unchanged.
+    split, _ = load_state(fixtures_dir / "split_triple.json")
+    argv = ["random", "--d", "6", "--n", "3", "--seed", "11", "--count", "3", "--out"]
+
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError(f"spawn({n_children})")
+
+    outputs = []
+    for seed_sequence in (np.random.SeedSequence, NoSpawn):
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+        out = tmp_path / seed_sequence.__name__
+        assert run(capsys, *argv, str(out))[0] == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs.append((files, esbl_check(split, samples=4, seed=5)))
+    assert len(outputs[0][0]) == 3
+    assert outputs[0] == outputs[1]
+
+
 def test_random_slater_analyzes_separable(capsys, tmp_path):
     code, out, _ = run(capsys, "random", "--d", "8", "--n", "3", "--slater", "--seed", "7", "--out", str(tmp_path))
     assert code == 0
@@ -204,10 +226,15 @@ def test_verify_default_grid_passes(capsys):
 
 
 def test_verify_sizes_the_cap_on_the_largest_cell_of_its_grid(capsys):
-    # Every cell has n <= d, so the largest tensor is 4^4, not 4^12.
-    code, out, _ = run(capsys, "verify", "--d-max", "4", "--n-max", "12", "--trials", "1")
-    assert code == 0
-    assert "all checks passed" in out
+    # Every cell has n <= d, so the largest tensor is 4^4, not 4^12; nor does
+    # the grid walk n past d, which would never end at n = 10^18.
+    tables = set()
+    for n_max in ("4", "12", "1000000000000000000"):
+        code, out, _ = run(capsys, "verify", "--d-max", "4", "--n-max", n_max, "--trials", "1")
+        assert code == 0
+        assert "all checks passed" in out
+        tables.add(out)
+    assert len(tables) == 1
 
 
 def test_verify_refuses_oversized_grid(capsys):

@@ -1,5 +1,5 @@
 """Checks on the source: unused imports and constants, one place that enumerates tuples, no private imports
-from outside, no oracle on the analysis path, no export that only tests use."""
+from outside, no oracle on the analysis path, no export that only tests use, no setting read from the environment."""
 
 import ast
 import re
@@ -149,6 +149,16 @@ def test_no_analysis_module_imports_the_oracle():
             if any(m.split(".")[-1] == "oracle" for m in modules):
                 importers.append(name)
     assert importers == []
+
+
+def test_no_package_module_reads_the_environment():
+    """Every outcome depends on the arguments alone: sizes and caps are module constants, not environment settings."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        if {"environ", "environb", "getenv", "getenvb"} & (loaded_names(tree) | imported_names(tree)):
+            readers.append(path.name)
+    assert readers == []
 
 
 def test_every_export_is_called_by_the_program():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import enumerated_tuples
+from fermisep import oracle
 from fermisep.errors import DimensionError, ResourceLimitError
-from fermisep.oracle import CAP_ENV_VAR, check_cap, densify, oracle_cap, oracle_rdm, sparsify
+from fermisep.oracle import check_cap, densify, oracle_rdm, sparsify
 from fermisep.states import from_coefficients, random_state
 
 
@@ -74,30 +75,24 @@ def test_dense_tensor_refuses_a_zero_marginal():
 
 
 def test_cap_blocks_large_instances(monkeypatch):
-    monkeypatch.setenv(CAP_ENV_VAR, "100")
-    assert oracle_cap() == 100
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(oracle, "DENSE_CAP", 100)
+    with pytest.raises(ResourceLimitError, match="above the cap 100$"):
         densify(random_state(5, 3, 0))  # 5^3 = 125 > 100
-    monkeypatch.setenv(CAP_ENV_VAR, "125")
+    monkeypatch.setattr(oracle, "DENSE_CAP", 125)
     densify(random_state(5, 3, 0))
 
 
 @pytest.mark.parametrize("d, n", [(6, 10**7), (10**4000, 2), (2, 20)])
-def test_cap_names_sizes_past_it_without_the_power(monkeypatch, d, n):
+def test_cap_names_sizes_past_it_without_the_power(d, n):
     # 6^(10^7) takes seconds to compute and 10^8000 is past Python's limit on
     # printed integer digits; 2^20 is the first power of two past 10^6.
-    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     with pytest.raises(ResourceLimitError, match=rf"needs {d}\^{n} entries, above the cap 1000000"):
         check_cap(d, n)
     check_cap(d, 0)
 
 
-def test_cap_defaults_and_validation(monkeypatch):
-    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
-    assert oracle_cap() == 10**6
-    monkeypatch.setenv(CAP_ENV_VAR, "zero")
-    with pytest.raises(ResourceLimitError):
-        oracle_cap()
-    monkeypatch.setenv(CAP_ENV_VAR, "-3")
-    with pytest.raises(ResourceLimitError):
-        oracle_cap()
+def test_cap_defaults_and_validation():
+    assert oracle.DENSE_CAP == 10**6
+    check_cap(10, 6)  # exactly at the cap
+    with pytest.raises(ResourceLimitError, match="needs 1030301 entries, above the cap 1000000$"):
+        check_cap(101, 3)
