@@ -34,7 +34,6 @@ from .states import (
     random_state,
     save_state,
     slater_from_orbitals,
-    state_document,
 )
 
 __version__ = "0.1.0"
@@ -65,5 +64,4 @@ __all__ = [
     "random_state",
     "save_state",
     "slater_from_orbitals",
-    "state_document",
 ]

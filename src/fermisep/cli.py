@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import OrbitalBasisIndex
 from .errors import DimensionError, FermisepError, NotADensityMatrixError
 from .oracle import check_cap, densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap, sparsify
 from .rdm import compute_rdm
@@ -279,6 +280,7 @@ def _sweep(out: Path, header: list[str]):
 
 def cmd_measure_sweep(args: argparse.Namespace) -> int:
     check_tolerance(args.tolerance)  # before --out is opened, and for an empty grid too
+    OrbitalBasisIndex(max(args.d_max, 1), 1)  # a --d-max past basis.MAX_D, before its grid is listed
     with _sweep(args.out, MEASURE_FIELDS) as (rows, summary):
         summary.append(f"{'kind':8} {'n':>2} {'d':>2} {'mean e_l':>12} {'max e_l':>12} {'separable':>9}")
         for n, d in _cells(args.n_max, args.d_max):

@@ -36,6 +36,8 @@ UNITARY_TOL = 1e-10
 DEPENDENCE_TOL = 1e-10
 # Whitespace around at most one separator: what lies between two JSON values.
 _JSON_GAP = re.compile(r"[ \t\n\r]*[,:\[{]?[ \t\n\r]*")
+# Entries save_state formats at a time: about a megabyte of text in memory, whatever the state's size.
+_WRITE_ROWS = 4096
 
 
 def _scaled_norm(c: np.ndarray) -> tuple[float, float]:
@@ -291,23 +293,26 @@ def load_state(path: str | Path) -> tuple[FermionState, float]:
     return parse_state(text)
 
 
-def state_document(state: FermionState) -> dict:
-    """JSON-ready document for a state, omitting exactly-zero amplitudes."""
-    nonzero = np.flatnonzero(state.amplitudes)
-    entries = [
-        {"orbitals": orbitals, "re": float(value.real), "im": float(value.imag)}
-        for orbitals, value in zip(state.basis.tuples()[nonzero].tolist(), state.amplitudes[nonzero])
-    ]
-    return {"d": state.d, "n": state.n, "amplitudes": entries}
-
-
 def save_state(state: FermionState, path: str | Path) -> None:
     """Write a state file holding every amplitude to the last bit (loading normalizes it again).
 
-    Its directory is made once the document is built, so that a refused state leaves none behind.
+    The layout is parse_state's format, indented as reporting.render_json lays out a document, with
+    17-digit floats; exactly-zero amplitudes are left out. Rows are written _WRITE_ROWS at a time, so
+    the text in memory stays a fixed size however large the state.
     """
-    from .reporting import render_json
+    from .reporting import format_float
 
-    text = render_json(state_document(state)) + "\n"
+    nonzero = np.flatnonzero(state.amplitudes)
+    tuples = state.basis.tuples()
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text)
+    with Path(path).open("w") as handle:
+        handle.write(f'{{\n  "d": {state.d},\n  "n": {state.n},\n  "amplitudes": [\n')
+        for start in range(0, len(nonzero), _WRITE_ROWS):
+            rows = nonzero[start : start + _WRITE_ROWS]
+            entries = (
+                f'    {{\n      "orbitals": [{", ".join(map(str, t))}],\n'
+                f'      "re": {format_float(c.real)},\n      "im": {format_float(c.imag)}\n    }}'
+                for t, c in zip(tuples[rows].tolist(), state.amplitudes[rows].tolist())
+            )
+            handle.write(",\n" * (start > 0) + ",\n".join(entries))
+        handle.write("\n  ]\n}\n")

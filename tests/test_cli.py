@@ -409,6 +409,13 @@ def test_measure_sweep_empty_grid_writes_the_header_only(capsys, tmp_path):
     assert out.read_bytes() == (",".join(fermisep.cli.MEASURE_FIELDS) + "\n").encode()
 
 
+def test_measure_sweep_refuses_a_d_max_past_the_basis_limit_before_opening_its_out(capsys, tmp_path):
+    out = tmp_path / "measure.csv"
+    argv = ["--d-max", "100000000", "--n-max", "2", "--count", "1", "--out", str(out)]
+    assert run(capsys, "measure-sweep", *argv) == (2, "", "error: d must be at most 2048, got d=100000000\n")
+    assert not out.exists()
+
+
 SMALL_SWEEPS = {
     "measure": "measure-sweep --n-max 2 --d-max 2 --count 1",
     "projection": "projection-sweep --states 1 --samples 1",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import MALFORMED_ARGUMENTS, MALFORMED_STATES, enumerated_tuples, random_unitary, reference_exterior_power
 from fermisep import basis as basis_module
+from fermisep import states as states_module
 from fermisep.basis import OrbitalBasisIndex
 from fermisep.errors import (
     DegenerateOrbitalsError,
@@ -37,7 +38,6 @@ from fermisep.states import (
     random_state,
     save_state,
     slater_from_orbitals,
-    state_document,
 )
 
 
@@ -292,18 +292,31 @@ def test_state_file_round_trip(tmp_path):
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
-def test_state_document_matches_unranked_listing():
+def test_saved_text_matches_unranked_listing(tmp_path, monkeypatch):
+    monkeypatch.setattr(states_module, "_WRITE_ROWS", 7)  # so that block seams fall inside the file
     state = random_state(12, 5, 8)
     sparse = state.amplitudes.copy()
     sparse[::3] = 0
     for s in (state, FermionState(state.basis, sparse)):
-        expected = [
+        listing = [
             {"orbitals": list(t), "re": float(v.real), "im": float(v.imag)}
             for t, v in zip(enumerated_tuples(12, 5), s.amplitudes)
             if v != 0
         ]
-        doc = {"d": 12, "n": 5, "amplitudes": expected}
-        assert render_json(state_document(s)) == render_json(doc)
+        save_state(s, tmp_path / "state.json")
+        expected = render_json({"d": 12, "n": 5, "amplitudes": listing}) + "\n"
+        assert (tmp_path / "state.json").read_text() == expected
+
+
+def test_writer_holds_one_block_of_text_at_a_time(tmp_path):
+    OrbitalBasisIndex(20, 5).tuples()  # cached with the basis, and counted in its size rule
+    tracemalloc.start()
+    try:
+        save_state(random_state(20, 5, 0), tmp_path / "state.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_loader_reports_pre_normalization_norm():
