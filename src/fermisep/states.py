@@ -36,7 +36,7 @@ UNITARY_TOL = 1e-10
 DEPENDENCE_TOL = 1e-10
 # Whitespace around at most one separator: what lies between two JSON values.
 _JSON_GAP = re.compile(r"[ \t\n\r]*[,:\[{]?[ \t\n\r]*")
-# Entries save_state formats at a time: about a megabyte of text in memory, whatever the state's size.
+# Entries save_state formats at a time, about a megabyte of text.
 _WRITE_ROWS = 4096
 
 
