@@ -53,8 +53,8 @@ class ResourceLimitError(FermisepError, ValueError):
 class StateFormatError(FermisepError, ValueError):
     """State file is syntactically or semantically malformed.
 
-    ``line`` carries a 1-based line number into the offending file when one
-    could be determined, else None.
+    ``line`` carries the 1-based line of a JSON syntax error, else None; a
+    refused entry is named in the message by its row in the amplitudes array.
     """
 
     def __init__(self, message: str, line: int | None = None):

@@ -61,14 +61,18 @@ def test_analyze_missing_file_is_io_error(capsys, tmp_path):
     assert "error" in err
 
 
-def test_analyze_malformed_tuple_diagnoses_line(capsys, tmp_path):
+def test_analyze_malformed_tuple_diagnoses_row(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
         '{"d": 4, "n": 2, "amplitudes": [\n{"orbitals": [2, 1], "re": 1.0, "im": 0.0}\n]}'
     )
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
-    assert "line 2" in err
+    assert err.startswith("error: row 0: (2, 1) is not 2 strictly increasing")
+    bad.write_text('{"d": 4, "n": 2, "amplitudes": [\n{"orbitals": [1, 2], "re": 1.0,}\n]}')
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("error: line 2: invalid JSON")
 
 
 def run_child(*argv):

@@ -1,6 +1,7 @@
 """Construction, normalization, transformation, and file round-trips of states."""
 
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -189,6 +190,19 @@ def test_rotation_is_the_exterior_power_by_definition(d, n):
     assert np.max(np.abs(rotated - reference_exterior_power(u, d, n) @ state.amplitudes)) <= 1e-12
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_minors_in_blocks_match_one_block(monkeypatch, rows):
+    """Slater states and rotations gather _MINOR_BYTES of N x N matrices at a time; a block of a few rows gives every
+    amplitude to the bit, so the (10, 5) benchmark sizes, which fit in one block, keep the single det call's values."""
+    m = np.random.default_rng(3).standard_normal((10, 5)) + 1j * np.random.default_rng(4).standard_normal((10, 5))
+    state = random_state(7, 3, 5)
+    u = haar_unitary(7, np.random.default_rng(6))
+    whole = slater_from_orbitals(m).amplitudes, apply_local_unitary(state, u).amplitudes
+    monkeypatch.setattr(states_module, "_MINOR_BYTES", rows * 16 * 5**2)
+    blocked = slater_from_orbitals(m).amplitudes, apply_local_unitary(state, u).amplitudes
+    assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+
+
 def test_unitary_application_preserves_norm():
     rng = np.random.default_rng(7)
     state = random_state(6, 3, 7)
@@ -355,36 +369,36 @@ def test_loader_defaults_missing_parts_to_zero():
     assert state.amplitude((0, 1)) == pytest.approx(1j)
 
 
-def test_loader_diagnoses_bad_tuple_with_line():
+def test_loader_diagnoses_bad_tuple_by_row():
     text = '{"d": 4, "n": 2,\n "amplitudes": [\n  {"orbitals": [0, 1], "re": 1.0, "im": 0.0},\n  {"orbitals": [3, 2], "re": 1.0, "im": 0.0}\n ]}'
-    with pytest.raises(StateFormatError) as err:
+    with pytest.raises(StateFormatError, match="^row 1: \\(3, 2\\) is not 2 strictly increasing") as err:
         parse_state(text)
-    assert err.value.line == 4
-    assert "strictly increasing" in str(err.value)
+    assert err.value.line is None
     for orbitals in ("[0, 1, 2]", "[0, 100000000000000000000]"):
         text = '{"d": 4, "n": 2, "amplitudes": [\n {"orbitals": [0, 1]},\n {"orbitals": %s}\n]}' % orbitals
-        with pytest.raises(StateFormatError, match="row 1: ") as err:
+        with pytest.raises(StateFormatError, match="^row 1: ") as err:
             parse_state(text)
-        assert err.value.line == 3
-    # The line comes from decoding, not from counting "orbitals": an entry
-    # without that key, one that nests it, and a repeated amplitudes key.
-    located = {
-        '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1]},\n5,\n{"orbitals": [0, 2]}]}': 2,
-        '{"d": 4, "n": 2, "amplitudes": [\n{"orbitals": [0, 1], "note": {"orbitals": 1}},\n{"orbitals": [1, 0]}\n]}': 3,
-        '{"amplitudes": [{"orbitals": [0, 1]}],\n"d": 4, "n": 2,\n"amplitudes": [{"orbitals": [0, 1]},\n[1, 0]]}': 4,
+        assert err.value.line is None
+    # The row is the entry's index in the amplitudes array json.loads keeps: an entry that is not an object, one that
+    # nests an orbitals key, and the last of two amplitudes keys.
+    rows = {
+        '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1]},\n5,\n{"orbitals": [0, 2]}]}': "5 is not an object",
+        '{"d": 4, "n": 2, "amplitudes": [\n{"orbitals": [0, 1], "note": {"orbitals": 1}},\n{"orbitals": [1, 0]}\n]}': "(1, 0)",
+        '{"amplitudes": [{"orbitals": [0, 1]}],\n"d": 4, "n": 2,\n"amplitudes": [{"orbitals": [0, 1]},\n[1, 0]]}': "[1, 0] is",
     }
-    for text, line in located.items():
-        with pytest.raises(StateFormatError, match="entry 1|row 1") as err:
+    for text, shown in rows.items():
+        with pytest.raises(StateFormatError, match="^row 1: ") as err:
             parse_state(text)
-        assert err.value.line == line
+        assert shown in str(err.value)
+        assert err.value.line is None
 
 
-def test_loader_diagnoses_bad_number_with_line():
+def test_loader_diagnoses_bad_number_by_row():
     for value in ("true", '"1"', "null", "[1.0]", "100000000000000000000"):
         text = '{"d": 4, "n": 2, "amplitudes": [\n {"orbitals": [0, 1], "re": 1.0},\n {"orbitals": [0, 2], "re": %s}\n]}'
-        with pytest.raises(StateFormatError, match="row 1: ") as err:
+        with pytest.raises(StateFormatError, match="^row 1: ") as err:
             parse_state(text % value)
-        assert err.value.line == 3
+        assert err.value.line is None
 
 
 def test_loader_reads_each_number_as_complex_does():
@@ -399,6 +413,22 @@ def test_loader_reads_each_number_as_complex_does():
     assert np.signbit(state.amplitude((0, 2)).imag)
 
 
+def test_load_state_refuses_a_file_past_the_byte_budget_unread(monkeypatch, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}')
+    load_state(path)
+    monkeypatch.setattr(basis_module, "BYTE_BUDGET", path.stat().st_size * states_module._READ_EXPANSION - 1)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr(type(path), "read_text", unread)
+    start = time.perf_counter()
+    with pytest.raises(StateFormatError, match=f"of {path.stat().st_size} bytes needs more than"):
+        load_state(path)
+    assert time.perf_counter() - start < 0.01
+
+
 def test_load_state_refuses_non_utf8_file(tmp_path):
     path = tmp_path / "state.json"
     path.write_bytes(b"\xff\xfe" + '{"d": 2, "n": 1, "amplitudes": [{"orbitals": [0]}]}'.encode("utf-16-le"))
@@ -408,12 +438,13 @@ def test_load_state_refuses_non_utf8_file(tmp_path):
 
 def test_loader_diagnoses_duplicates_and_syntax():
     dup = '{"d": 4, "n": 2, "amplitudes": [\n {"orbitals": [0, 1], "re": 1.0},\n {"orbitals": [0, 1], "re": 2.0}\n]}'
-    with pytest.raises(StateFormatError) as err:
+    with pytest.raises(StateFormatError, match="^row 1: tuple \\(0, 1\\) listed twice") as err:
         parse_state(dup)
-    assert err.value.line == 3
+    assert err.value.line is None
 
-    with pytest.raises(StateFormatError):
-        parse_state("{not json")
+    with pytest.raises(StateFormatError, match="^line 3: invalid JSON") as err:
+        parse_state('{"d": 4, "n": 2,\n "amplitudes": [\n  {"orbitals": [0, 1], "re": 1.0,}\n ]}')
+    assert err.value.line == 3
     with pytest.raises(StateFormatError, match="top-level value must be an object"):
         parse_state("[1, 2]")
     with pytest.raises(StateFormatError):
