@@ -8,6 +8,10 @@ single-particle reduced density matrix rho_r decide this:
   entropy      S[rho_r]    = ln N       (otherwise strictly larger)
   idempotency  rho_r^2     = rho_r / N  (all nonzero eigenvalues equal 1/N)
 
+All three read the one spectrum of rho_r (idempotency as the operator norm
+of rho_r^2 - rho_r/N, the largest |lambda (1/N - lambda)|), so an analysis
+makes one eigendecomposition and never squares rho_r.
+
 The corresponding entanglement measures are e_l = 1/N - Tr(rho_r^2) and
 e_vn = S[rho_r] - ln N, both nonnegative and zero exactly on separable
 states. For two fermions in four orbitals, 4 * e_l coincides with the
@@ -46,10 +50,12 @@ class SeparabilityReport:
     The purity verdict is the primary one; a state is reported separable
     exactly when verdict_purity holds. The entropy verdict uses a tolerance
     scaled by N; it corroborates rather than decides. The idempotency
-    verdict checks the max-norm defect of rho^2 - rho/N directly. The three
-    verdicts threshold different quantities, but they nest: rho^2 - rho/N is
-    negative semidefinite, so idempotency_defect <= e_l, and Renyi-2 <= von
-    Neumann gives e_vn >= -ln(1 - N e_l) >= N e_l. Hence entropy-separable
+    verdict checks the operator norm of rho^2 - rho/N, the largest
+    |lambda_k (1/N - lambda_k)|. The three verdicts threshold different
+    quantities, but they nest term by term: every eigenvalue lies in
+    [0, 1/N], so the defect is the largest of the nonnegative terms
+    lambda_k (1/N - lambda_k), whose sum is e_l, and Renyi-2 <= von Neumann
+    gives e_vn >= -ln(1 - N e_l) >= N e_l. Hence entropy-separable
     implies purity-separable implies idempotency-separable; near the
     tolerance they can only disagree in that direction, the entropy verdict
     being the strictest. The spectrum the entropy was computed from is kept
@@ -88,10 +94,10 @@ class SeparabilityReport:
         }
 
 
-def idempotency_defect(rdm: ReducedDensityMatrix) -> float:
-    """Max-norm of rho^2 - rho/N; zero exactly when every nonzero eigenvalue is 1/N."""
-    rho = rdm.entries
-    return float(np.max(np.abs(rho @ rho - rho / rdm.n)))
+def idempotency_defect(spectrum: Spectrum, n: int) -> float:
+    """Operator norm of rho^2 - rho/N from rho's spectrum; zero exactly when every nonzero eigenvalue is 1/N."""
+    lam = spectrum.values
+    return float(np.max(np.abs(lam * (1.0 / n - lam))))
 
 
 def check_tolerance(tolerance: float) -> float:
@@ -123,7 +129,7 @@ def analyze(
     p = purity(rho)
     spectrum = eigenvalues(rho)
     s = spectrum.entropy()
-    defect = idempotency_defect(rho)
+    defect = idempotency_defect(spectrum, n)
     ln_n = math.log(n)
     return SeparabilityReport(
         purity=p,

@@ -262,14 +262,19 @@ def parse_state(text: str) -> tuple[FermionState, float]:
     return FermionState(basis, c), scale * norm
 
 
+def _file_limit() -> int:
+    """The largest state file load_state reads, in bytes: basis.BYTE_BUDGET, read now, over _READ_EXPANSION."""
+    return basis_module.BYTE_BUDGET // _READ_EXPANSION
+
+
 def load_state(path: str | Path) -> tuple[FermionState, float]:
     """Read a UTF-8 state file; returns (state, pre-normalization norm).
 
-    A file whose size times _READ_EXPANSION passes basis.BYTE_BUDGET is refused before a byte of it is read.
+    A file past _file_limit() is refused before a byte of it is read.
     """
     path = Path(path)
     size = path.stat().st_size
-    if size * _READ_EXPANSION > basis_module.BYTE_BUDGET:
+    if size > _file_limit():
         raise StateFormatError(f"a state file of {size} bytes needs more than {basis_module.BYTE_BUDGET} bytes to read")
     try:
         text = path.read_text(encoding="utf-8")
@@ -283,21 +288,29 @@ def save_state(state: FermionState, path: str | Path) -> None:
 
     The layout is parse_state's format, indented as reporting.render_json lays out a document, with
     17-digit floats; exactly-zero amplitudes are left out. Rows are written _WRITE_ROWS at a time, so
-    the text in memory stays a fixed size however large the state.
+    the text in memory stays a fixed size however large the state. A file that grows past
+    _file_limit(), which load_state would refuse, is removed and refused with StateFormatError.
     """
     from .reporting import format_float
 
     nonzero = np.flatnonzero(state.amplitudes)
     tuples = state.basis.tuples()
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with Path(path).open("w") as handle:
-        handle.write(f'{{\n  "d": {state.d},\n  "n": {state.n},\n  "amplitudes": [\n')
+    path, limit = Path(path), _file_limit()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as handle:
+        # The text is ASCII, so the characters written are the file's bytes.
+        written = handle.write(f'{{\n  "d": {state.d},\n  "n": {state.n},\n  "amplitudes": [\n')
         for start in range(0, len(nonzero), _WRITE_ROWS):
+            if written > limit:
+                break
             rows = nonzero[start : start + _WRITE_ROWS]
             entries = (
                 f'    {{\n      "orbitals": [{", ".join(map(str, t))}],\n'
                 f'      "re": {format_float(c.real)},\n      "im": {format_float(c.imag)}\n    }}'
                 for t, c in zip(tuples[rows].tolist(), state.amplitudes[rows].tolist())
             )
-            handle.write(",\n" * (start > 0) + ",\n".join(entries))
-        handle.write("\n  ]\n}\n")
+            written += handle.write(",\n" * (start > 0) + ",\n".join(entries))
+        written += handle.write("\n  ]\n}\n")
+    if written > limit:
+        path.unlink()
+        raise StateFormatError(f"a state file for d={state.d}, n={state.n} passes {limit} bytes, more than load_state reads")

@@ -142,8 +142,9 @@ def test_06_diagonal_decomposition_identity(slater_grid, random_grid):
 
 
 def test_07_measures_invariant_under_local_unitaries():
-    """Local-unitary invariance: purity, entropy, e_l, e_vn move less than
-    1e-9 under 20 random unitaries per state, for every d <= 8 cell."""
+    """Local-unitary invariance: purity, entropy, e_l, e_vn and the
+    idempotency defect move less than 1e-9 under 20 random unitaries per
+    state, for every d <= 8 cell."""
     rng = np.random.default_rng(505)
     for n, d in GRID:
         if d > 8:
@@ -157,6 +158,7 @@ def test_07_measures_invariant_under_local_unitaries():
                 assert abs(rotated.entropy - base.entropy) <= 1e-9
                 assert abs(rotated.e_l - base.e_l) <= 1e-9
                 assert abs(rotated.e_vn - base.e_vn) <= 1e-9
+                assert abs(rotated.idempotency_defect - base.idempotency_defect) <= 1e-9
 
 
 def test_08_reference_spectrum_matches_purity_but_not_idempotency():
@@ -169,7 +171,7 @@ def test_08_reference_spectrum_matches_purity_but_not_idempotency():
     lam = np.array([0.5, 1 / (2 * math.sqrt(2)), 1 / (2 * math.sqrt(2)), 0.0])
     rho = ReducedDensityMatrix(2, np.diag(lam.astype(complex)))
     assert abs(purity(rho) - 0.5) <= 1e-15
-    defect = idempotency_defect(rho)
+    defect = idempotency_defect(eigenvalues(rho), rho.n)
     assert abs(defect - 0.05177669529663689) <= 1e-12
     assert defect > 1e-3
 

@@ -56,8 +56,21 @@ def test_two_fermion_e_l_maximum_is_attained_by_flat_spectrum():
 
 
 def test_idempotency_defect_examples():
-    assert idempotency_defect(diag_rdm([0.5, 0.5])) == 0.0
-    assert idempotency_defect(compute_rdm(random_slater(6, 3, 11))) <= 1e-10
+    rho = diag_rdm([0.5, 0.5])
+    assert idempotency_defect(eigenvalues(rho), rho.n) == 0.0
+    rho = compute_rdm(random_slater(6, 3, 11))
+    assert idempotency_defect(eigenvalues(rho), rho.n) <= 1e-10
+
+
+def test_idempotency_defect_is_the_operator_norm_of_the_matrix_defect():
+    """On a non-diagonal (8,3) marginal the spectral defect is the 2-norm of rho^2 - rho/N, the matrix form it
+    replaces, and at least that matrix's largest entry."""
+    rho = compute_rdm(random_state(8, 3, 7))
+    assert np.max(np.abs(rho.entries - np.diag(np.diag(rho.entries)))) > 1e-3
+    matrix = rho.entries @ rho.entries - rho.entries / 3
+    defect = idempotency_defect(eigenvalues(rho), rho.n)
+    assert abs(defect - np.linalg.norm(matrix, 2)) <= 1e-15
+    assert defect >= np.max(np.abs(matrix))
 
 
 def test_reference_spectrum_fails_idempotency_despite_matching_purity():
@@ -73,7 +86,7 @@ def test_reference_spectrum_fails_idempotency_despite_matching_purity():
     lam = [0.5, 1 / (2 * math.sqrt(2)), 1 / (2 * math.sqrt(2)), 0.0]
     rho = diag_rdm(lam)
     assert purity(rho) == pytest.approx(0.5, abs=1e-15)
-    defect = idempotency_defect(rho)
+    defect = idempotency_defect(eigenvalues(rho), rho.n)
     assert defect == pytest.approx(abs(1 / 8 - 1 / (4 * math.sqrt(2))), abs=1e-15)
     assert defect == pytest.approx(0.05177669529663689, abs=1e-12)
     assert defect > 1e-3

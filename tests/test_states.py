@@ -429,6 +429,17 @@ def test_load_state_refuses_a_file_past_the_byte_budget_unread(monkeypatch, tmp_
     assert time.perf_counter() - start < 0.01
 
 
+def test_writer_refuses_a_file_the_reader_would_refuse(monkeypatch, tmp_path):
+    state, path = random_state(12, 5, 0), tmp_path / "state.json"
+    monkeypatch.setattr(basis_module, "BYTE_BUDGET", 2**20)
+    with pytest.raises(StateFormatError, match="d=12, n=5 passes 43690 bytes, more than load_state reads"):
+        save_state(state, path)
+    assert not path.exists()
+    monkeypatch.setattr(basis_module, "BYTE_BUDGET", 2**22)
+    save_state(state, path)
+    assert np.max(np.abs(load_state(path)[0].amplitudes - state.amplitudes)) <= 1e-15
+
+
 def test_load_state_refuses_non_utf8_file(tmp_path):
     path = tmp_path / "state.json"
     path.write_bytes(b"\xff\xfe" + '{"d": 2, "n": 1, "amplitudes": [{"orbitals": [0]}]}'.encode("utf-16-le"))
