@@ -41,9 +41,8 @@ class OrbitalBasisIndex:
     n: number of fermions (N), with N <= D.
     size: C(D, N), the number of basis states.
 
-    A basis is refused with DimensionError when D > MAX_D, or when the arrays an analysis holds
-    pass BYTE_BUDGET: the amplitudes c (16 bytes each), tuples() and the annihilation table
-    (8 N bytes each per state), and Phi with its conjugate copy (32 D bytes per (N-1)-tuple).
+    A basis is refused with DimensionError when D > MAX_D, or when _working_set(d, n), the bytes of the
+    arrays an analysis holds, passes BYTE_BUDGET.
     """
 
     d: int
@@ -59,10 +58,9 @@ class OrbitalBasisIndex:
             raise DimensionError(f"antisymmetric states need n <= d, got n={self.n} > d={self.d}")
         if self.d > MAX_D:
             raise DimensionError(f"d must be at most {MAX_D}, got d={self.d}")
-        size = comb(self.d, self.n)
-        if 16 * size * (self.n + 1) + 32 * self.d * comb(self.d, self.n - 1) > BYTE_BUDGET:
+        if _working_set(self.d, self.n) > BYTE_BUDGET:
             raise DimensionError(f"C({self.d}, {self.n}) basis states need more than {BYTE_BUDGET} bytes to analyze")
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", comb(self.d, self.n))
 
     def rank(self, orbitals: OrbitalTuple) -> int:
         """Lexicographic rank of a strictly increasing orbital tuple: a one-row ranks."""
@@ -79,13 +77,9 @@ class OrbitalBasisIndex:
                   lambda t: np.all(t[:, 1:] > t[:, :-1], axis=1) & (t[:, 0] >= 0) & (t[:, -1] < self.d))
         return self.size - 1 - _rank_terms(self.d, self.n, t).sum(axis=1)
 
-    @lru_cache(maxsize=64)  # keyed by (d, n, size): equal bases share one array
     def tuples(self) -> np.ndarray:
         """All basis tuples as a size x n array, rows in lexicographic (rank) order; cached, so read-only."""
-        flat = chain.from_iterable(combinations(range(self.d), self.n))
-        t = np.fromiter(flat, np.intp, self.size * self.n).reshape(self.size, self.n)
-        t.flags.writeable = False
-        return t
+        return _tables(self.d, self.n)[0]
 
     def annihilate(self, amplitudes: np.ndarray) -> np.ndarray:
         """D x C(D, N-1) matrix Phi with Phi[i, S'] = <S'| a_i |c> for amplitudes c on this basis.
@@ -181,7 +175,29 @@ def _rank_terms(d: int, k: int, t: np.ndarray) -> np.ndarray:
     return np.array(terms, dtype=np.intp).reshape(-1, d)[np.arange(t.shape[1]), t]
 
 
-@lru_cache(maxsize=64)
+def _working_set(d: int, n: int) -> int:
+    """Bytes an analysis of the (d, n) basis holds: the amplitudes c (16 bytes each), tuples() and the annihilation
+    table (8 N bytes each per state), and Phi with its conjugate copy (32 D bytes per (N-1)-tuple)."""
+    return 16 * comb(d, n) * (n + 1) + 32 * d * comb(d, n - 1)
+
+
+_held = 0  # bytes in _tables, each annihilation table counted from its basis's build: it is the tuples' size
+
+
+@lru_cache(maxsize=None)
+def _tables(d: int, n: int) -> list:
+    """[tuples(), the annihilation table once _annihilation_table builds it, else None] of the (d, n) basis; a hit
+    is one C lookup. A miss first empties the cache if its tables and this basis's working set pass BYTE_BUDGET."""
+    global _held
+    if _held + _working_set(d, n) > BYTE_BUDGET:
+        _tables.cache_clear()
+        _held = 0
+    t = np.fromiter(chain.from_iterable(combinations(range(d), n)), np.intp, comb(d, n) * n).reshape(-1, n)
+    t.flags.writeable = False
+    _held += 2 * t.nbytes
+    return [t, None]
+
+
 def _annihilation_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (d, n) basis's own tuples() array and small[k, m], the rank of tuple k without its m-th orbital.
 
@@ -189,8 +205,10 @@ def _annihilation_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     (n-1)-tuple rank terms and a suffix of the tuple's own; all 0, the empty tuple's rank, with one particle.
     No (orbital, small) pair repeats, since the tuple is the small tuple plus that orbital.
     """
-    t = OrbitalBasisIndex(d, n).tuples()
-    own = _rank_terms(d, n, t)
-    full = comb(d, n - 1) - 1 - own.sum(axis=1, keepdims=True)  # less every own term
-    own[:, 1:] -= _rank_terms(d, n - 1, t[:, :-1])  # its cumsum at m: own terms i <= m less (n-1)-terms i < m
-    return t, full + own.cumsum(axis=1, out=own)
+    t, small = tables = _tables(d, n)
+    if small is None:
+        own = _rank_terms(d, n, t)
+        full = comb(d, n - 1) - 1 - own.sum(axis=1, keepdims=True)  # less every own term
+        own[:, 1:] -= _rank_terms(d, n - 1, t[:, :-1])  # its cumsum at m: own terms i <= m less (n-1)-terms i < m
+        small = tables[1] = full + own.cumsum(axis=1, out=own)
+    return t, small

@@ -8,9 +8,11 @@ single-particle reduced density matrix rho_r decide this:
   entropy      S[rho_r]    = ln N       (otherwise strictly larger)
   idempotency  rho_r^2     = rho_r / N  (all nonzero eigenvalues equal 1/N)
 
-All three read the one spectrum of rho_r (idempotency as the operator norm
-of rho_r^2 - rho_r/N, the largest |lambda (1/N - lambda)|), so an analysis
-makes one eigendecomposition and never squares rho_r.
+Entropy and idempotency read the one spectrum of rho_r (idempotency as the
+operator norm of rho_r^2 - rho_r/N, the largest |lambda (1/N - lambda)|), so
+an analysis makes one eigendecomposition and never squares rho_r. Purity is
+the squared Frobenius norm of rho_r's entries (spectral.purity), which equals
+the sum of lambda^2 only in exact arithmetic.
 
 The corresponding entanglement measures are e_l = 1/N - Tr(rho_r^2) and
 e_vn = S[rho_r] - ln N, both nonnegative and zero exactly on separable

@@ -39,6 +39,8 @@ _MINOR_BYTES = 2**26
 # Bound on load_state's peak memory over the file's size: 5.4 for save_state's layout, 7.4 minified, up to 22.7 for
 # entries that list only orbitals.
 _READ_EXPANSION = 24
+# Bytes load_state may need per JSON object or array on top of that; an entry {} takes about 152.
+_CONTAINER_BYTES = 160
 # Entries save_state formats at a time, about a megabyte of text.
 _WRITE_ROWS = 4096
 
@@ -262,20 +264,29 @@ def parse_state(text: str) -> tuple[FermionState, float]:
     return FermionState(basis, c), scale * norm
 
 
-def _file_limit() -> int:
-    """The largest state file load_state reads, in bytes: basis.BYTE_BUDGET, read now, over _READ_EXPANSION."""
-    return basis_module.BYTE_BUDGET // _READ_EXPANSION
+def _file_limit(containers: int = 0) -> int:
+    """The largest state file load_state reads, in bytes, if it holds that many JSON objects and arrays:
+    basis.BYTE_BUDGET, read now, less _CONTAINER_BYTES per container, over _READ_EXPANSION."""
+    return (basis_module.BYTE_BUDGET - _CONTAINER_BYTES * containers) // _READ_EXPANSION
 
 
 def load_state(path: str | Path) -> tuple[FermionState, float]:
     """Read a UTF-8 state file; returns (state, pre-normalization norm).
 
-    A file past _file_limit() is refused before a byte of it is read.
+    A file past _file_limit() is refused before a byte of it is read, and one past the limit for the "{" and "["
+    it holds, counted a mebibyte at a time (in strings too), before it is decoded.
     """
     path = Path(path)
     size = path.stat().st_size
     if size > _file_limit():
         raise StateFormatError(f"a state file of {size} bytes needs more than {basis_module.BYTE_BUDGET} bytes to read")
+    with path.open("rb") as handle:
+        containers = sum(block.count(b"{") + block.count(b"[") for block in iter(lambda: handle.read(2**20), b""))
+    if size > _file_limit(containers):
+        raise StateFormatError(
+            f"a state file of {size} bytes and {containers} objects and arrays needs more than "
+            f"{basis_module.BYTE_BUDGET} bytes to read"
+        )
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -289,13 +300,14 @@ def save_state(state: FermionState, path: str | Path) -> None:
     The layout is parse_state's format, indented as reporting.render_json lays out a document, with
     17-digit floats; exactly-zero amplitudes are left out. Rows are written _WRITE_ROWS at a time, so
     the text in memory stays a fixed size however large the state. A file that grows past
-    _file_limit(), which load_state would refuse, is removed and refused with StateFormatError.
+    _file_limit() for its containers (two per entry and the outer two), which load_state would refuse, is
+    removed and refused with StateFormatError.
     """
     from .reporting import format_float
 
     nonzero = np.flatnonzero(state.amplitudes)
     tuples = state.basis.tuples()
-    path, limit = Path(path), _file_limit()
+    path, limit = Path(path), _file_limit(2 * len(nonzero) + 2)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:
         # The text is ASCII, so the characters written are the file's bytes.

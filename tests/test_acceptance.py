@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from fermisep.basis import OrbitalBasisIndex, _annihilation_table
+from fermisep.basis import _tables
 from fermisep.cli import main
 from fermisep.oracle import densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap, sparsify
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
@@ -206,8 +206,7 @@ def test_11_analysis_completes_within_a_second(tmp_path, capsys):
     (495 amplitudes) finishes in under one second, cold caches included."""
     path = tmp_path / "large.json"
     save_state(random_state(12, 4, 808), path)
-    OrbitalBasisIndex.tuples.cache_clear()
-    _annihilation_table.cache_clear()
+    _tables.cache_clear()
     start = time.perf_counter()
     code = main(["analyze", str(path), "--json"])
     elapsed = time.perf_counter() - start

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import enumerated_tuples, reference_annihilate, reference_rank
+from conftest import enumerated_tuples, reference_annihilate, reference_rank, run_python
 from fermisep import basis as basis_module
-from fermisep.basis import OrbitalBasisIndex, _annihilation_table
+from fermisep.basis import OrbitalBasisIndex, _annihilation_table, _tables
 from fermisep.errors import DimensionError, InvalidTupleError
-from fermisep.states import from_coefficients, random_state
+from fermisep.separability import analyze, esbl_check
+from fermisep.states import apply_local_unitary, from_coefficients, haar_unitary, random_state, save_state
 
 
 def basis_dims(max_d: int = 8):
@@ -184,13 +185,50 @@ def test_annihilation_table_never_runs_the_tuple_check(monkeypatch):
         raise AssertionError("ranks called on the package's own tuples")
 
     monkeypatch.setattr(OrbitalBasisIndex, "ranks", refuse)
-    _annihilation_table.cache_clear()
+    _tables.cache_clear()
     for d, n in [(1, 1), (4, 1), (4, 2), (4, 4), (6, 3), (7, 7)]:
         t, small = _annihilation_table(d, n)
         assert t is OrbitalBasisIndex(d, n).tuples()
         assert small.shape == (len(t), n)
         if n == 1:
             assert not small.any()
+
+
+def test_the_table_cache_stays_within_the_byte_budget():
+    """rho of random_state(d, 3, 0) for d = 60...123 in one process, each basis within a 64 MiB budget (the largest
+    needs 47 MiB): the cache is emptied before it would pass the budget, where 64 kept bases needed 673 MiB."""
+    walk = (
+        "import resource\nfrom fermisep import basis, compute_rdm, random_state\nbasis.BYTE_BUDGET = 2**26\n"
+        "for d in range(60, 124):\n    compute_rdm(random_state(d, 3, 0))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    result = run_python("-c", walk)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 200 * 1024  # ru_maxrss is in KiB
+
+
+def test_workload_loops_rebuild_no_table():
+    state, big = random_state(10, 5, 0), random_state(14, 7, 1)
+    u = haar_unitary(10, np.random.default_rng(0))
+
+    def rounds(count):
+        for _ in range(count):
+            rotated = apply_local_unitary(state, u)
+            analyze(state)
+            analyze(rotated)
+            esbl_check(rotated, samples=16)
+        esbl_check(big)
+
+    rounds(1)
+    misses = _tables.cache_info().misses
+    rounds(3)
+    assert _tables.cache_info().misses == misses
+
+
+def test_save_state_builds_no_annihilation_table(tmp_path):
+    _tables.cache_clear()
+    save_state(random_state(9, 4, 0), tmp_path / "state.json")
+    assert _tables(9, 4)[1] is None
 
 
 def test_annihilate_examples():

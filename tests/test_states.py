@@ -4,6 +4,7 @@ import json
 import time
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -429,10 +430,32 @@ def test_load_state_refuses_a_file_past_the_byte_budget_unread(monkeypatch, tmp_
     assert time.perf_counter() - start < 0.01
 
 
+def test_load_state_refuses_a_file_of_bare_containers_undecoded(monkeypatch, tmp_path):
+    """Entries {} decode to about 152 bytes each (7e6 of them in 20 MiB rose 1014 MiB before their refusal), far past
+    24 times their size: the reader counts the objects and arrays first, and refuses such a file undecoded."""
+    path = tmp_path / "state.json"
+    path.write_text('{"d": 4, "n": 2, "amplitudes": [' + ", ".join(["{}"] * 10**5) + "]}")
+    size = path.stat().st_size
+    monkeypatch.setattr(basis_module, "BYTE_BUDGET", 30 * size)  # within the size rule alone
+
+    def undecoded(*args, **kwargs):
+        raise AssertionError("the file was decoded")
+
+    monkeypatch.setattr(json, "loads", undecoded)
+    with pytest.raises(StateFormatError, match=f"^a state file of {size} bytes and 100002 objects and arrays needs"):
+        load_state(path)
+
+
+def test_the_container_rule_admits_the_largest_state_file_written():
+    # save_state(random_state(28, 7, 0)) writes 153 960 331 bytes with two containers per entry and the outer two:
+    # 3.79 GiB by the rule, within the 4 GiB budget.
+    assert 153_960_331 <= states_module._file_limit(2 * comb(28, 7) + 2)
+
+
 def test_writer_refuses_a_file_the_reader_would_refuse(monkeypatch, tmp_path):
     state, path = random_state(12, 5, 0), tmp_path / "state.json"
     monkeypatch.setattr(basis_module, "BYTE_BUDGET", 2**20)
-    with pytest.raises(StateFormatError, match="d=12, n=5 passes 43690 bytes, more than load_state reads"):
+    with pytest.raises(StateFormatError, match="d=12, n=5 passes 33117 bytes, more than load_state reads"):
         save_state(state, path)
     assert not path.exists()
     monkeypatch.setattr(basis_module, "BYTE_BUDGET", 2**22)
