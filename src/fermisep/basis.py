@@ -62,10 +62,6 @@ class OrbitalBasisIndex:
             raise DimensionError(f"C({self.d}, {self.n}) basis states need more than {BYTE_BUDGET} bytes to analyze")
         object.__setattr__(self, "size", comb(self.d, self.n))
 
-    def rank(self, orbitals: OrbitalTuple) -> int:
-        """Lexicographic rank of a strictly increasing orbital tuple: a one-row ranks."""
-        return int(self.ranks([orbitals])[0])
-
     def ranks(self, tuples) -> np.ndarray:
         """Lexicographic ranks of the rows of an m x n listing of strictly increasing tuples.
 
@@ -161,11 +157,13 @@ def _rows(listing, dtype: type, width: int, what: str, error: type, valid=lambda
     raise DimensionError(f"expected rows of {width} {what} in one sequence of {np.dtype(dtype)}, got {_shown(listing)}")
 
 
-def _seeded(seed, sequences: bool = True) -> int | np.random.SeedSequence:
-    """seed, a non-negative integer or, if sequences, a SeedSequence (spawning changes one); else DimensionError."""
+def _seeded(seed, sequences: bool = True) -> int | np.random.SeedSequence | np.random.Generator:
+    """seed, a non-negative integer or, if sequences, a SeedSequence or a Generator (spawning or drawing changes
+    one), for np.random.default_rng, which returns a Generator unchanged; else DimensionError."""
     integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
-    if not (integer or sequences and isinstance(seed, np.random.SeedSequence)):
-        raise DimensionError(f"seed must be a non-negative integer{' or a SeedSequence' * sequences}, got {_shown(seed)}")
+    if not (integer or sequences and isinstance(seed, (np.random.SeedSequence, np.random.Generator))):
+        kinds = ", a SeedSequence or a Generator" if sequences else ""
+        raise DimensionError(f"seed must be a non-negative integer{kinds}, got {_shown(seed)}")
     return seed
 
 

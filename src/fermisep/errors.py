@@ -30,8 +30,9 @@ class DegenerateOrbitalsError(FermisepError, ValueError):
 
 
 class DimensionError(FermisepError, ValueError):
-    """Incompatible dimensions, a parameter out of range, or an argument of the wrong kind or shape,
-    for example N > D, a zero tolerance, a float count or a ragged array."""
+    """Incompatible dimensions, a size past a cap, a parameter out of range, or an argument of the wrong kind or
+    shape, for example N > D, a basis past the size rule, a dense tensor past oracle.DENSE_CAP, a zero tolerance,
+    a float count, a ragged array or a plain array where a package object belongs."""
 
 
 class NonUnitaryError(FermisepError, ValueError):
@@ -44,10 +45,6 @@ class NotADensityMatrixError(FermisepError, ValueError):
 
 class UnsupportedError(FermisepError, ValueError):
     """Operation is defined only for a particle number other than the one supplied."""
-
-
-class ResourceLimitError(FermisepError, ValueError):
-    """Requested instance exceeds the dense-verification cap, oracle.DENSE_CAP."""
 
 
 class StateFormatError(FermisepError, ValueError):

@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .basis import OrbitalBasisIndex
-from .errors import DimensionError, ResourceLimitError
+from .errors import DimensionError
 from .rdm import ReducedDensityMatrix
 from .states import FermionState
 
@@ -32,7 +32,7 @@ DENSE_CAP = 10**6
 
 
 def check_cap(d: int, n: int) -> None:
-    """Raise ResourceLimitError when a dense D^N tensor would exceed the cap."""
+    """Raise DimensionError, the size rule's type, when a dense D^N tensor would exceed the cap."""
     # From d > DENSE_CAP, or d >= 2 and 2^n > DENSE_CAP, d^n is past the cap
     # already; such sizes are named as d^n, because the power itself can take
     # seconds and be too long for Python to print.
@@ -42,7 +42,7 @@ def check_cap(d: int, n: int) -> None:
         size = str(d**n)
     else:
         return
-    raise ResourceLimitError(f"dense tensor needs {size} entries, above the cap {DENSE_CAP}")
+    raise DimensionError(f"dense tensor needs {size} entries, above the cap {DENSE_CAP}")
 
 
 def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:

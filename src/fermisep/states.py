@@ -64,7 +64,7 @@ class FermionState:
     basis:
         Index mapping between sorted orbital tuples and amplitude positions.
     amplitudes:
-        Complex vector of length ``basis.size``; entry ``basis.rank(t)``
+        Complex vector of length ``basis.size``; entry ``basis.ranks([t])[0]``
         holds the coefficient of the basis determinant on tuple ``t``.
         Input of any nonzero norm is accepted and normalized silently.
     """
@@ -90,7 +90,7 @@ class FermionState:
 
     def amplitude(self, orbitals: OrbitalTuple) -> complex:
         """Coefficient of the basis determinant on the given sorted tuple."""
-        return complex(self.amplitudes[self.basis.rank(orbitals)])
+        return complex(self.amplitudes[self.basis.ranks([orbitals])[0]])
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,14 @@ def apply_local_unitary(state: FermionState, u: LocalUnitary) -> FermionState:
     return FermionState(state.basis, out)
 
 
-def random_state(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
+def random_state(d: int, n: int, seed: int | np.random.SeedSequence | np.random.Generator) -> FermionState:
     """Haar-like random state: i.i.d. complex Gaussian amplitudes, normalized."""
     rng = np.random.default_rng(_seeded(seed))
     basis = OrbitalBasisIndex(d, n)
     return FermionState(basis, rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
 
 
-def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> FermionState:
+def random_slater(d: int, n: int, seed: int | np.random.SeedSequence | np.random.Generator) -> FermionState:
     """Random Slater-rank-one state from N Gaussian orbitals, orthonormalized."""
     OrbitalBasisIndex(d, n)  # refuses bad dimensions and sizes before numpy sees a shape
     rng = np.random.default_rng(_seeded(seed))
@@ -218,9 +218,10 @@ def random_slater(d: int, n: int, seed: int | np.random.SeedSequence) -> Fermion
     return slater_from_orbitals(m)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
+def haar_unitary(d: int, seed: int | np.random.SeedSequence | np.random.Generator) -> LocalUnitary:
     """Haar-distributed d x d unitary via QR with the R-diagonal phase fix."""
     d = OrbitalBasisIndex(d, 1).d
+    rng = np.random.default_rng(_seeded(seed))
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return LocalUnitary(_orthonormalize(z))
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import enumerated_tuples
 from fermisep import oracle
-from fermisep.errors import DimensionError, ResourceLimitError
+from fermisep.errors import DimensionError
 from fermisep.oracle import check_cap, densify, oracle_rdm, sparsify
 from fermisep.states import from_coefficients, random_state
 
@@ -76,7 +76,7 @@ def test_dense_tensor_refuses_a_zero_marginal():
 
 def test_cap_blocks_large_instances(monkeypatch):
     monkeypatch.setattr(oracle, "DENSE_CAP", 100)
-    with pytest.raises(ResourceLimitError, match="above the cap 100$"):
+    with pytest.raises(DimensionError, match="above the cap 100$"):
         densify(random_state(5, 3, 0))  # 5^3 = 125 > 100
     monkeypatch.setattr(oracle, "DENSE_CAP", 125)
     densify(random_state(5, 3, 0))
@@ -86,7 +86,7 @@ def test_cap_blocks_large_instances(monkeypatch):
 def test_cap_names_sizes_past_it_without_the_power(d, n):
     # 6^(10^7) takes seconds to compute and 10^8000 is past Python's limit on
     # printed integer digits; 2^20 is the first power of two past 10^6.
-    with pytest.raises(ResourceLimitError, match=rf"needs {d}\^{n} entries, above the cap 1000000"):
+    with pytest.raises(DimensionError, match=rf"needs {d}\^{n} entries, above the cap 1000000"):
         check_cap(d, n)
     check_cap(d, 0)
 
@@ -94,5 +94,5 @@ def test_cap_names_sizes_past_it_without_the_power(d, n):
 def test_cap_defaults_and_validation():
     assert oracle.DENSE_CAP == 10**6
     check_cap(10, 6)  # exactly at the cap
-    with pytest.raises(ResourceLimitError, match="needs 1030301 entries, above the cap 1000000$"):
+    with pytest.raises(DimensionError, match="needs 1030301 entries, above the cap 1000000$"):
         check_cap(101, 3)

@@ -251,6 +251,19 @@ def test_haar_unitary_refuses_an_empty_or_negative_dimension(d):
         haar_unitary(d, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("d, seed", [(1, 0), (4, 7), (6, 2**70), (10, np.random.SeedSequence([10, 3]))])
+def test_haar_unitary_takes_its_seed_as_random_state_does(d, seed):
+    """A Generator is drawn from as it always was, Q of two standard_normal draws; the seed it was made from gives
+    the same matrix to the bit, and a value that is no seed, None among them, is refused."""
+    rng = np.random.default_rng(seed)
+    drawn = states_module._orthonormalize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    assert np.array_equal(haar_unitary(d, np.random.default_rng(seed)).matrix, drawn)
+    assert np.array_equal(haar_unitary(d, seed).matrix, drawn)
+    for refused in (None, -1, 1.5, True):
+        with pytest.raises(DimensionError, match="seed must be a non-negative integer, a SeedSequence or a Generator"):
+            haar_unitary(d, refused)
+
+
 def test_basis_whose_ranks_pass_the_integer_range_is_refused():
     # C(70, 35) is about 1.1e20, past 2^63, so its ranks cannot be machine integers.
     with pytest.raises(DimensionError):
