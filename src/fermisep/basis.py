@@ -167,6 +167,13 @@ def _seeded(seed, sequences: bool = True) -> int | np.random.SeedSequence | np.r
     return seed
 
 
+def _instance(value, kind: type, name: str):
+    """value, the argument called name, if it is a kind, a package object; else DimensionError naming kind."""
+    if not isinstance(value, kind):
+        raise DimensionError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _rank_terms(d: int, k: int, t: np.ndarray) -> np.ndarray:
     """C(d-1-x, k-i) at each entry x = t[r, i]; left 0 below x = i, which no valid tuple reaches, so each fits."""
     terms = [[comb(d - 1 - x, k - i) if x >= i else 0 for x in range(d)] for i in range(t.shape[1])]

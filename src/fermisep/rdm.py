@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _frozen
+from .basis import _frozen, _instance
 from .errors import DimensionError, NotADensityMatrixError
 from .states import FermionState
 
@@ -48,6 +48,6 @@ def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     rho = Phi Phi^dag / N with Phi from OrbitalBasisIndex.annihilate: O(C(D,N) N)
     work to fill Phi plus one D x D matrix product, never touching the D^N tensor.
     """
-    phi = state.basis.annihilate(state.amplitudes)
+    phi = _instance(state, FermionState, "state").basis.annihilate(state.amplitudes)
     return ReducedDensityMatrix(state.n, phi @ phi.conj().T / state.n)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, _frozen, _seeded, _shown
+from .basis import OrbitalBasisIndex, _frozen, _instance, _seeded, _shown
 from .errors import DimensionError, UnsupportedError
 from .rdm import ReducedDensityMatrix, compute_rdm
 from .spectral import Spectrum, eigenvalues, purity
@@ -98,7 +98,7 @@ class SeparabilityReport:
 
 def idempotency_defect(spectrum: Spectrum, n: int) -> float:
     """Operator norm of rho^2 - rho/N from rho's spectrum; zero exactly when every nonzero eigenvalue is 1/N."""
-    lam = spectrum.values
+    lam = _instance(spectrum, Spectrum, "spectrum").values
     return float(np.max(np.abs(lam * (1.0 / n - lam))))
 
 
@@ -122,11 +122,14 @@ def analyze(
     e_vn, the idempotency defect, and the three verdicts at the given
     tolerance (entropy at tolerance * N, see SeparabilityReport). A caller
     that already has the reduced density matrix may pass it to skip the
-    recomputation; N is then the marginal's own. The tolerance must be
-    positive and finite.
+    recomputation; it must be a marginal of the state's own n and d x d
+    entries, else DimensionError. The tolerance must be positive and finite.
     """
     tolerance = check_tolerance(tolerance)
-    rho = compute_rdm(state) if rdm is None else rdm
+    _instance(state, FermionState, "state")
+    rho = compute_rdm(state) if rdm is None else _instance(rdm, ReducedDensityMatrix, "rdm")
+    if rho.n != state.n or rho.entries.shape != (state.d, state.d):
+        raise DimensionError(f"rdm is of n={rho.n} in {len(rho.entries)} orbitals, state has d={state.d}, n={state.n}")
     n = rho.n
     p = purity(rho)
     spectrum = eigenvalues(rho)
@@ -171,7 +174,7 @@ def project_single_particle(
     the state is None. A separable state projects onto a separable or null
     state for every direction.
     """
-    if state.n < 2:
+    if _instance(state, FermionState, "state").n < 2:
         raise UnsupportedError("projection needs at least two particles")
     a = _frozen(direction, np.complex128, (state.d,), f"direction must be a vector of length {state.d}")
     infinite = np.flatnonzero(~np.isfinite(a))
@@ -220,7 +223,7 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     """
     if _frozen(samples, np.intp, (), "samples must be an integer") < 1:
         raise DimensionError(f"need at least one sample, got {samples}")
-    if state.n < 2:
+    if _instance(state, FermionState, "state").n < 2:
         raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")
     entropy = _seeded(seed, sequences=False)
     chains = []
@@ -228,18 +231,10 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
         rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))  # SeedSequence(seed).spawn(...)[k]
         current = state
         norms: list[float] = []
-        record = None
-        while current.n > 2:
+        while current is not None and current.n > 2:  # a null projection ends the chain
             a = rng.standard_normal(state.d) + 1j * rng.standard_normal(state.d)
-            a /= np.linalg.norm(a)
-            projected, norm = project_single_particle(current, a)
+            current, norm = project_single_particle(current, a / np.linalg.norm(a))
             norms.append(norm)
-            if projected is None:
-                record = EsblSample(tuple(norms), 0.0, True, True)
-                break
-            current = projected
-        if record is None:
-            rank, residual = _rank_and_residual(current)
-            record = EsblSample(tuple(norms), residual, False, rank == 1)
-        chains.append(record)
+        rank, residual = (1, 0.0) if current is None else _rank_and_residual(current)
+        chains.append(EsblSample(tuple(norms), residual, current is None, rank == 1))
     return EsblResult(all(s.separable for s in chains), tuple(chains))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _frozen
+from .basis import _frozen, _instance
 from .errors import NotADensityMatrixError
 from .rdm import ReducedDensityMatrix
 
@@ -41,7 +41,7 @@ class Spectrum:
 
 def eigenvalues(rdm: ReducedDensityMatrix) -> Spectrum:
     """Descending real spectrum of the reduced density matrix, Hermitian by construction."""
-    return Spectrum(np.linalg.eigvalsh(rdm.entries))
+    return Spectrum(np.linalg.eigvalsh(_instance(rdm, ReducedDensityMatrix, "rdm").entries))
 
 
 def purity(rdm: ReducedDensityMatrix) -> float:
@@ -50,5 +50,5 @@ def purity(rdm: ReducedDensityMatrix) -> float:
     At most 1/N for the marginal of an N-fermion pure state, with equality
     exactly on Slater-rank-one states.
     """
-    return float(np.sum(np.abs(rdm.entries) ** 2))
+    return float(np.sum(np.abs(_instance(rdm, ReducedDensityMatrix, "rdm").entries) ** 2))
 

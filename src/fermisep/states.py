@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import basis as basis_module
-from .basis import OrbitalBasisIndex, OrbitalTuple, _frozen, _rows, _seeded, _shown
+from .basis import OrbitalBasisIndex, OrbitalTuple, _frozen, _instance, _rows, _seeded, _shown
 from .errors import (
     DegenerateOrbitalsError,
     DimensionError,
@@ -73,6 +73,7 @@ class FermionState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _instance(self.basis, OrbitalBasisIndex, "basis")
         what = f"expected {self.basis.size} amplitudes for d={self.d}, n={self.n}"
         c = _frozen(self.amplitudes, np.complex128, (self.basis.size,), what)
         scale, norm = _scaled_norm(c)
@@ -196,7 +197,7 @@ def apply_local_unitary(state: FermionState, u: LocalUnitary) -> FermionState:
     tuples S of c_S times the determinant on the orbitals U[:, S], whose amplitudes
     are its minors det(U[T, S]) (``_minors``). Cost O(C(D,N)^2 N^3), memory O(C(D,N) N) and one block of minors.
     """
-    if u.d != state.d:
+    if _instance(u, LocalUnitary, "u").d != _instance(state, FermionState, "state").d:
         raise DimensionError(f"unitary is {u.d}-dimensional, state has d={state.d}")
     tuples = state.basis.tuples()
     out = sum(c * _minors(u.matrix[:, s], tuples) for s, c in zip(tuples, state.amplitudes))
@@ -306,7 +307,7 @@ def save_state(state: FermionState, path: str | Path) -> None:
     """
     from .reporting import format_float
 
-    nonzero = np.flatnonzero(state.amplitudes)
+    nonzero = np.flatnonzero(_instance(state, FermionState, "state").amplitudes)
     tuples = state.basis.tuples()
     path, limit = Path(path), _file_limit(2 * len(nonzero) + 2)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,16 @@ from fermisep.separability import (
     project_single_particle,
 )
 from fermisep.spectral import eigenvalues, purity
-from fermisep.states import FermionState, from_coefficients, load_state, random_slater, random_state
+from fermisep.states import (
+    FermionState,
+    apply_local_unitary,
+    from_coefficients,
+    haar_unitary,
+    load_state,
+    random_slater,
+    random_state,
+    save_state,
+)
 
 
 def diag_rdm(values, n=2):
@@ -191,6 +200,48 @@ def test_esbl_refuses_one_fermion():
 def test_analyze_refuses_tolerance_not_positive_and_finite(tolerance):
     with pytest.raises(DimensionError, match="tolerance must be positive and finite"):
         analyze(random_state(4, 2, 0), tolerance=tolerance)
+
+
+# Calls that pass a plain array, or another package object, where a package object belongs.
+WRONG_OBJECTS = {
+    "rotation-by-an-array": (lambda: apply_local_unitary(random_state(6, 3, 0), np.eye(6)), "u", "LocalUnitary"),
+    "rdm-an-array": (lambda: analyze(random_state(6, 3, 0), rdm=np.eye(6) / 6), "rdm", "ReducedDensityMatrix"),
+    "purity-of-an-array": (lambda: purity(np.eye(2)), "rdm", "ReducedDensityMatrix"),
+    "eigenvalues-of-an-array": (lambda: eigenvalues(np.eye(2)), "rdm", "ReducedDensityMatrix"),
+    "defect-of-a-marginal": (lambda: idempotency_defect(compute_rdm(random_state(6, 3, 0)), 3), "spectrum", "Spectrum"),
+    "rotation-of-an-array": (lambda: apply_local_unitary(np.ones(20), haar_unitary(6, 0)), "state", "FermionState"),
+    "analyze-an-array": (lambda: analyze(np.ones(20)), "state", "FermionState"),
+    "marginal-of-an-array": (lambda: compute_rdm(np.ones(20)), "state", "FermionState"),
+    "project-an-array": (lambda: project_single_particle(np.ones(20), np.ones(6)), "state", "FermionState"),
+    "esbl-of-an-array": (lambda: esbl_check(np.ones(20)), "state", "FermionState"),
+    "state-on-a-tuple": (lambda: FermionState((6, 3), np.ones(20)), "basis", "OrbitalBasisIndex"),
+}
+
+
+@pytest.mark.parametrize("call, name, kind", WRONG_OBJECTS.values(), ids=WRONG_OBJECTS.keys())
+def test_a_package_object_of_the_wrong_kind_is_refused_by_the_type_it_expects(call, name, kind):
+    with pytest.raises(DimensionError, match=f"^{name} must be of type {kind}, got "):
+        call()
+
+
+def test_save_state_refuses_an_array_and_writes_nothing(tmp_path):
+    with pytest.raises(DimensionError, match="^state must be of type FermionState, got ndarray$"):
+        save_state(np.ones(20), tmp_path / "out" / "state.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("d, n", [(8, 2), (6, 2), (8, 3), (6, 4)])
+def test_analyze_refuses_a_marginal_of_another_basis(d, n):
+    state = random_state(6, 3, 0)
+    with pytest.raises(DimensionError, match=f"rdm is of n={n} in {d} orbitals, state has d=6, n=3"):
+        analyze(state, rdm=compute_rdm(random_state(d, n, 1)))
+
+
+def test_analyze_takes_a_marginal_of_the_states_own_basis():
+    state = random_state(6, 3, 0)
+    assert analyze(state, rdm=compute_rdm(state)) == analyze(state)
+    flat = analyze(state, rdm=ReducedDensityMatrix(3, np.eye(6) / 6))
+    assert len(flat.spectrum.values) == 6 and flat.purity == pytest.approx(1 / 6)
 
 
 @pytest.mark.parametrize("tolerance", [np.int64(1), np.uint64(2**64 - 1)], ids=["int64", "uint64-max"])
