@@ -30,9 +30,10 @@ class DegenerateOrbitalsError(FermisepError, ValueError):
 
 
 class DimensionError(FermisepError, ValueError):
-    """Incompatible dimensions, a size past a cap, a parameter out of range, or an argument of the wrong kind or
-    shape, for example N > D, a basis past the size rule, a dense tensor past oracle.DENSE_CAP, a zero tolerance,
-    a float count, a ragged array or a plain array where a package object belongs."""
+    """Incompatible dimensions, a size past a cap, a parameter out of range, a particle number outside what an
+    operation takes, or an argument of the wrong kind or shape, for example N > D, a basis past the size rule, a
+    dense tensor past oracle.DENSE_CAP, a zero tolerance, one fermion for the projection check, a float count, a
+    ragged array or a plain array where a package object belongs."""
 
 
 class NonUnitaryError(FermisepError, ValueError):
@@ -41,10 +42,6 @@ class NonUnitaryError(FermisepError, ValueError):
 
 class NotADensityMatrixError(FermisepError, ValueError):
     """The input is not a density matrix: not finite, not Hermitian, or eigenvalues too negative for noise."""
-
-
-class UnsupportedError(FermisepError, ValueError):
-    """Operation is defined only for a particle number other than the one supplied."""
 
 
 class StateFormatError(FermisepError, ValueError):

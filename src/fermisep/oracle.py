@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex
+from .basis import OrbitalBasisIndex, _frozen, _instance
 from .errors import DimensionError
 from .rdm import ReducedDensityMatrix
 from .states import FermionState
@@ -45,6 +45,19 @@ def check_cap(d: int, n: int) -> None:
     raise DimensionError(f"dense tensor needs {size} entries, above the cap {DENSE_CAP}")
 
 
+def _cubic(tensor) -> np.ndarray:
+    """The tensor as a read-only complex array with N >= 1 sides, all of one length D >= 1; else DimensionError."""
+    what = "tensor must be a complex array with all sides of one nonzero length"
+    try:
+        ndim = np.ndim(tensor)
+    except ValueError:  # ragged; refused by _frozen
+        ndim = 0
+    w = _frozen(tensor, np.complex128, (None,) * ndim, what)
+    if len(set(w.shape)) != 1 or w.size == 0:  # a scalar has no side
+        raise DimensionError(f"{what}, got shape {w.shape}")
+    return w
+
+
 def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All n! permutations of range(n) as rows, and their signs (-1)^inversions."""
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
@@ -58,7 +71,7 @@ def densify(state: FermionState) -> np.ndarray:
     At a permutation of a sorted tuple t the entry is sign(permutation) * c_t / N!,
     zero on repeated indices, so the total squared norm of a normalized state is 1/N!.
     """
-    d, n = state.d, state.n
+    d, n = _instance(state, FermionState, "state").d, state.n
     check_cap(d, n)
     perms, signs = _permutation_signs(n)
     index = np.moveaxis(state.basis.tuples()[:, perms], -1, 0)  # axis p: orbital p of each permuted tuple
@@ -69,8 +82,9 @@ def densify(state: FermionState) -> np.ndarray:
 
 def sparsify(tensor: np.ndarray) -> FermionState:
     """Inverse of densify: read N! times the entries at sorted tuples."""
-    basis = OrbitalBasisIndex(tensor.shape[0], tensor.ndim)
-    return FermionState(basis, tensor[tuple(basis.tuples().T)] * float(factorial(tensor.ndim)))
+    w = _cubic(tensor)
+    basis = OrbitalBasisIndex(w.shape[0], w.ndim)
+    return FermionState(basis, w[tuple(basis.tuples().T)] * float(factorial(w.ndim)))
 
 
 def oracle_rdm(tensor: np.ndarray) -> ReducedDensityMatrix:
@@ -81,17 +95,18 @@ def oracle_rdm(tensor: np.ndarray) -> ReducedDensityMatrix:
     the end instead of tracking the 1/N prefactor, so this path shares no
     normalization code with the fast combinatorial construction.
     """
-    w = tensor.reshape(tensor.shape[0], -1)
+    t = _cubic(tensor)
+    w = t.reshape(t.shape[0], -1)
     g = w @ w.conj().T
     trace = float(np.trace(g).real)
     if trace <= 0.0:
         raise DimensionError("cannot normalize the marginal of a zero tensor")
-    return ReducedDensityMatrix(tensor.ndim, g / trace)
+    return ReducedDensityMatrix(t.ndim, g / trace)
 
 
 def diagonal_decomposition(state: FermionState) -> tuple[np.ndarray, np.ndarray]:
     """Weights d_k = |c_k|^2 and the M x D flat occupation distributions f_ik of diag(rho_r)."""
-    basis = state.basis
+    basis = _instance(state, FermionState, "state").basis
     f = np.zeros((basis.size, basis.d), dtype=np.float64)
     f[np.arange(basis.size)[:, None], basis.tuples()] = 1.0 / basis.n
     return np.abs(state.amplitudes) ** 2, f

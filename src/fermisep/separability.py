@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import OrbitalBasisIndex, _frozen, _instance, _seeded, _shown
-from .errors import DimensionError, UnsupportedError
+from .errors import DimensionError
 from .rdm import ReducedDensityMatrix, compute_rdm
 from .spectral import Spectrum, eigenvalues, purity
 from .states import FermionState
@@ -97,8 +97,11 @@ class SeparabilityReport:
 
 
 def idempotency_defect(spectrum: Spectrum, n: int) -> float:
-    """Operator norm of rho^2 - rho/N from rho's spectrum; zero exactly when every nonzero eigenvalue is 1/N."""
+    """Operator norm of rho^2 - rho/N from rho's spectrum; zero exactly when every nonzero eigenvalue is 1/N.
+    DimensionError unless n is an integer n >= 1, as ReducedDensityMatrix takes it."""
     lam = _instance(spectrum, Spectrum, "spectrum").values
+    if _frozen(n, np.intp, (), "expected an integer n") < 1:
+        raise DimensionError(f"expected n >= 1, got n={n}")
     return float(np.max(np.abs(lam * (1.0 / n - lam))))
 
 
@@ -157,8 +160,6 @@ def _rank_and_residual(state: FermionState) -> tuple[int, float]:
     per determinant in the canonical form of the state; the rank is half
     the number of eigenvalues above 1e-10.
     """
-    if state.n != 2:
-        raise UnsupportedError(f"defined for two fermions only, got n={state.n}")
     lam = eigenvalues(compute_rdm(state)).values
     return int(np.sum(lam > RANK_EIGENVALUE_TOL)) // 2, max(0.0, float(lam[2:].sum()))
 
@@ -175,7 +176,7 @@ def project_single_particle(
     state for every direction.
     """
     if _instance(state, FermionState, "state").n < 2:
-        raise UnsupportedError("projection needs at least two particles")
+        raise DimensionError("projection needs at least two particles")
     a = _frozen(direction, np.complex128, (state.d,), f"direction must be a vector of length {state.d}")
     infinite = np.flatnonzero(~np.isfinite(a))
     if infinite.size:
@@ -224,7 +225,7 @@ def esbl_check(state: FermionState, samples: int = 16, seed: int = 0) -> EsblRes
     if _frozen(samples, np.intp, (), "samples must be an integer") < 1:
         raise DimensionError(f"need at least one sample, got {samples}")
     if _instance(state, FermionState, "state").n < 2:
-        raise UnsupportedError(f"projection check needs n >= 2, got n={state.n}")
+        raise DimensionError(f"projection check needs n >= 2, got n={state.n}")
     entropy = _seeded(seed, sequences=False)
     chains = []
     for k in range(samples if state.n > 2 else 1):

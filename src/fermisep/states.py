@@ -89,10 +89,6 @@ class FermionState:
     def n(self) -> int:
         return self.basis.n
 
-    def amplitude(self, orbitals: OrbitalTuple) -> complex:
-        """Coefficient of the basis determinant on the given sorted tuple."""
-        return complex(self.amplitudes[self.basis.ranks([orbitals])[0]])
-
 
 @dataclass(frozen=True)
 class LocalUnitary:

@@ -155,6 +155,11 @@ def reference_annihilate(t: tuple[int, ...], orbital: int) -> tuple[tuple[int, .
     return t[:m] + t[m + 1:], -1 if m % 2 else 1
 
 
+def amplitude(state: fermisep.FermionState, orbitals: tuple[int, ...]) -> complex:
+    """Coefficient of the basis determinant on a sorted tuple, read through the basis ranks."""
+    return complex(state.amplitudes[state.basis.ranks([orbitals])[0]])
+
+
 def reference_exterior_power(u: np.ndarray, d: int, n: int) -> np.ndarray:
     """The n-th exterior power of u by its definition: entry [T, S] is the minor
     det u[T, S], rows and columns in the itertools order of the n-subsets."""

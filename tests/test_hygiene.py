@@ -1,7 +1,9 @@
 """Checks on the source: unused imports and constants, one place that enumerates tuples, no private imports
-from outside, no oracle on the analysis path, no export that only tests use, no setting read from the environment."""
+from outside, no oracle on the analysis path, no export or exported method that only tests use, no setting read
+from the environment."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -161,10 +163,30 @@ def test_no_package_module_reads_the_environment():
     assert readers == []
 
 
+def program_loaded_names() -> set[str]:
+    """Names loaded in the package outside __init__.py or in perfbench/."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + list((ROOT / "perfbench").glob("*.py"))
+    return set().union(*(loaded_names(parse(path)) for path in paths))
+
+
 def test_every_export_is_called_by_the_program():
     """A name in fermisep.__all__ is loaded in the package outside __init__.py or in perfbench/, or is
     on UNCALLED_EXPORTS; an export that only tests call belongs in the module that tests it, not the API."""
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + list((ROOT / "perfbench").glob("*.py"))
-    loaded = set().union(*(loaded_names(parse(path)) for path in paths))
+    loaded = program_loaded_names()
     assert sorted(set(fermisep.__all__) - loaded - set(UNCALLED_EXPORTS)) == []
     assert sorted(set(UNCALLED_EXPORTS) - set(fermisep.__all__)) == []
+
+
+def test_every_method_of_an_exported_class_is_called_by_the_program():
+    """A public method or property that an exported class defines is loaded by the program as an attribute; one
+    that only tests call is a second way to read what the class already offers."""
+    loaded = program_loaded_names()
+    uncalled = []
+    for name in fermisep.__all__:
+        kind = getattr(fermisep, name)
+        if inspect.isclass(kind):
+            for attr, value in vars(kind).items():
+                method = inspect.isfunction(value) or isinstance(value, (property, staticmethod, classmethod))
+                if method and not attr.startswith("_") and attr not in loaded:
+                    uncalled.append(f"{name}.{attr}")
+    assert uncalled == []

@@ -74,6 +74,23 @@ def test_dense_tensor_refuses_a_zero_marginal():
         oracle_rdm(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("call", [sparsify, oracle_rdm])
+@pytest.mark.parametrize(
+    "tensor",
+    [np.ones((4, 3)), np.ones((3, 4)), np.ones((2, 2, 3)), np.ones((0, 0)), np.ones(()), [[1, 0], [0]], "ab"],
+    ids=["4x3", "3x4", "2x2x3", "0x0", "scalar", "ragged", "string"],
+)
+def test_oracle_refuses_a_tensor_whose_sides_differ_or_are_empty(call, tensor):
+    with pytest.raises(DimensionError, match="^tensor must be a complex array with all sides of one nonzero length"):
+        call(tensor)
+
+
+def test_oracle_reads_a_tensor_given_as_nested_lists():
+    w = densify(random_state(4, 2, 3))
+    assert np.array_equal(sparsify(w.tolist()).amplitudes, sparsify(w).amplitudes)
+    assert np.array_equal(oracle_rdm(w.tolist()).entries, oracle_rdm(w).entries)
+
+
 def test_cap_blocks_large_instances(monkeypatch):
     monkeypatch.setattr(oracle, "DENSE_CAP", 100)
     with pytest.raises(DimensionError, match="above the cap 100$"):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermisep import separability
-from fermisep.errors import DimensionError, UnsupportedError
+from fermisep.errors import DimensionError
+from fermisep.oracle import densify, diagonal_decomposition
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import render_json
 from fermisep.separability import (
@@ -71,6 +72,13 @@ def test_idempotency_defect_examples():
     assert idempotency_defect(eigenvalues(rho), rho.n) <= 1e-10
 
 
+@pytest.mark.parametrize("n", ["3", 0, 2.5, True, -1], ids=["string", "zero", "float", "bool", "negative"])
+def test_idempotency_defect_refuses_n_that_is_not_a_positive_integer(n):
+    spectrum = eigenvalues(compute_rdm(random_state(6, 3, 0)))
+    with pytest.raises(DimensionError, match=r"^expected (an integer n|n >= 1), got"):
+        idempotency_defect(spectrum, n)
+
+
 def test_idempotency_defect_is_the_operator_norm_of_the_matrix_defect():
     """On a non-diagonal (8,3) marginal the spectral defect is the 2-norm of rho^2 - rho/N, the matrix form it
     replaces, and at least that matrix's largest entry."""
@@ -108,8 +116,6 @@ def slater_rank(state):
 def test_two_fermion_slater_rank():
     assert slater_rank(from_coefficients(4, 2, [((0, 1), 1.0)])) == 1
     assert slater_rank(from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0)])) == 2
-    with pytest.raises(UnsupportedError):
-        slater_rank(random_state(6, 3, 0))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -138,7 +144,7 @@ def test_projection_validation():
     state = random_state(6, 3, 0)
     with pytest.raises(DimensionError):
         project_single_particle(state, np.ones(5, dtype=complex))
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(DimensionError, match="^projection needs at least two particles$"):
         project_single_particle(from_coefficients(3, 1, [((0,), 1.0)]), np.ones(3, dtype=complex))
     # A non-finite direction is refused as such, before any arithmetic can warn.
     for bad in (np.nan, np.inf, complex(0, -np.inf)):
@@ -190,7 +196,7 @@ def test_esbl_rejects_bad_sample_count():
 
 
 def test_esbl_refuses_one_fermion():
-    with pytest.raises(UnsupportedError, match="n >= 2"):
+    with pytest.raises(DimensionError, match="^projection check needs n >= 2, got n=1$"):
         esbl_check(from_coefficients(3, 1, [((0,), 1.0)]), samples=4, seed=0)
 
 
@@ -214,6 +220,10 @@ WRONG_OBJECTS = {
     "marginal-of-an-array": (lambda: compute_rdm(np.ones(20)), "state", "FermionState"),
     "project-an-array": (lambda: project_single_particle(np.ones(20), np.ones(6)), "state", "FermionState"),
     "esbl-of-an-array": (lambda: esbl_check(np.ones(20)), "state", "FermionState"),
+    "densify-an-array": (lambda: densify(np.ones(20)), "state", "FermionState"),
+    "densify-a-list": (lambda: densify([1.0] * 20), "state", "FermionState"),
+    "decompose-an-array": (lambda: diagonal_decomposition(np.ones(20)), "state", "FermionState"),
+    "decompose-a-list": (lambda: diagonal_decomposition([1.0] * 20), "state", "FermionState"),
     "state-on-a-tuple": (lambda: FermionState((6, 3), np.ones(20)), "basis", "OrbitalBasisIndex"),
 }
 
