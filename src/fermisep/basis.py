@@ -3,11 +3,13 @@
 A basis state of N identical fermions in D orbitals is labelled by a strictly
 increasing N-tuple of orbital indices. This module provides the bijection
 between those tuples and dense linear indices in [0, C(D, N)), in
-lexicographic order: ``ranks`` checks tuples and maps them to indices, row k
-of ``tuples()`` is the k-th tuple, and ``annihilate`` applies every a_i.
-No other module ranks tuples. ``tuples()`` is built once per (d, n), cached
-read-only, and the annihilation ranks are sums of its own rank terms: the
-rank of t without its m-th orbital is a prefix of (n-1)-tuple terms and a suffix of t's.
+lexicographic order: ``ranks`` checks tuples and maps them to indices, and row
+k of ``tuples()`` is the k-th tuple; these are the public methods. The private
+``_annihilate`` applies every a_i to a state's own checked amplitudes, for
+compute_rdm and the projection check. No other module ranks tuples.
+``tuples()`` is built once per (d, n), cached read-only, and the annihilation
+ranks are sums of its own rank terms: the rank of t without its m-th orbital is
+a prefix of (n-1)-tuple terms and a suffix of t's.
 
 Orbitals are 0-based everywhere, in code and in file formats.
 """
@@ -77,7 +79,7 @@ class OrbitalBasisIndex:
         """All basis tuples as a size x n array, rows in lexicographic (rank) order; cached, so read-only."""
         return _tables(self.d, self.n)[0]
 
-    def annihilate(self, amplitudes: np.ndarray) -> np.ndarray:
+    def _annihilate(self, amplitudes: np.ndarray) -> np.ndarray:
         """D x C(D, N-1) matrix Phi with Phi[i, S'] = <S'| a_i |c> for amplitudes c on this basis.
 
         a_i deletes orbital i, at position m of a tuple, with sign (-1)^m;

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import OrbitalBasisIndex
 from .errors import DimensionError, FermisepError, NotADensityMatrixError
-from .oracle import check_cap, densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap, sparsify
+from .oracle import _check_cap, _sparsify, densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap
 from .rdm import compute_rdm
 from .reporting import flatten_report, format_float, render_csv, render_json
 from .separability import DEFAULT_TOLERANCE, analyze, check_tolerance, esbl_check
@@ -197,18 +197,18 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
     for trial in range(trials):
         slater = trial % 2 == 1
         state = (random_slater if slater else random_state)(d, n, np.random.SeedSequence([seed, n, d, trial]))
-        rho, dense, (w, f) = compute_rdm(state), densify(state), diagonal_decomposition(state)
+        rho, (w, f) = compute_rdm(state), diagonal_decomposition(state)
         report = analyze(state, rdm=rho)
         # (check, deviation, bound); every deviation is at most 0 in exact arithmetic.
         for check, deviation, bound in [
-            (TABLE_CHECKS[0], float(np.max(np.abs(rho.entries - oracle_rdm(dense).entries))), 1e-12),
-            (TABLE_CHECKS[1], float(np.max(np.abs(sparsify(dense).amplitudes - state.amplitudes))), 1e-14),
+            (TABLE_CHECKS[0], float(np.max(np.abs(rho.entries - oracle_rdm(state).entries))), 1e-12),
+            (TABLE_CHECKS[1], float(np.max(np.abs(_sparsify(densify(state)).amplitudes - state.amplitudes))), 1e-14),
             ("purity - 1/n", report.purity - 1.0 / n, 1e-12),
             ("ln n - entropy", math.log(n) - report.entropy, 1e-8),
             # The verdicts nest (see SeparabilityReport); these are the two bounds behind it.
             ("idempotency defect - e_l", report.idempotency_defect - report.e_l, 1e-14),
             ("n * e_l - e_vn", n * report.e_l - report.e_vn, 1e-14),
-            (TABLE_CHECKS[2], abs(pairwise_identity_gap(w, f)), 1e-10),
+            (TABLE_CHECKS[2], abs(pairwise_identity_gap(state)), 1e-10),
             ("decomposition diagonal", float(np.max(np.abs(w @ f - np.diag(rho.entries).real))), 1e-12),
             ("Slater |purity - 1/n|", abs(report.purity - 1.0 / n) if slater else 0.0, 1e-10),
         ]:
@@ -222,7 +222,7 @@ def _verify_cell(n: int, d: int, trials: int, seed: int) -> tuple[dict, list[str
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 2 or args.d_max < 2:
         raise DimensionError("need --n-max >= 2, --d-max >= 2")
-    check_cap(args.d_max, min(args.n_max, args.d_max))  # the largest cell of the grid, where n <= d
+    _check_cap(args.d_max, min(args.n_max, args.d_max))  # the largest cell of the grid, where n <= d
 
     all_failures: list[str] = []
     print(f"{'n':>2} {'d':>3} {'trials':>6} {'max|fast-oracle|':>17} {'max roundtrip':>14} {'max identity gap':>17}")

@@ -3,10 +3,10 @@
 The full D^N tensor of antisymmetric coefficients, which the rest of the
 package deliberately avoids, with its explicit partial trace; and the
 O(M^2 D) pairwise sum behind the purity identity of the diagonal
-decomposition. No analysis module imports this one. A fixed cap on D^N,
-DENSE_CAP, guards against accidental exponential blow-up; check_cap is the
-one place that enforces it, for densify and for callers that size a grid of
-instances up front.
+decomposition. Every public function takes a FermionState. No analysis
+module imports this one. A fixed cap on D^N, DENSE_CAP, guards against
+accidental exponential blow-up; _check_cap is the one place that enforces it,
+for densify and for the verify command, which sizes its grid up front.
 
 The diagonal of rho_r admits a convex decomposition F_i = sum_k d_k f_ik with
 weights d_k = |c_k|^2 and flat occupation distributions f_ik equal to 1/N on
@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .basis import OrbitalBasisIndex, _frozen, _instance
+from .basis import OrbitalBasisIndex, _instance
 from .errors import DimensionError
 from .rdm import ReducedDensityMatrix
 from .states import FermionState
@@ -31,7 +31,7 @@ from .states import FermionState
 DENSE_CAP = 10**6
 
 
-def check_cap(d: int, n: int) -> None:
+def _check_cap(d: int, n: int) -> None:
     """Raise DimensionError, the size rule's type, when a dense D^N tensor would exceed the cap."""
     # From d > DENSE_CAP, or d >= 2 and 2^n > DENSE_CAP, d^n is past the cap
     # already; such sizes are named as d^n, because the power itself can take
@@ -43,19 +43,6 @@ def check_cap(d: int, n: int) -> None:
     else:
         return
     raise DimensionError(f"dense tensor needs {size} entries, above the cap {DENSE_CAP}")
-
-
-def _cubic(tensor) -> np.ndarray:
-    """The tensor as a read-only complex array with N >= 1 sides, all of one length D >= 1; else DimensionError."""
-    what = "tensor must be a complex array with all sides of one nonzero length"
-    try:
-        ndim = np.ndim(tensor)
-    except ValueError:  # ragged; refused by _frozen
-        ndim = 0
-    w = _frozen(tensor, np.complex128, (None,) * ndim, what)
-    if len(set(w.shape)) != 1 or w.size == 0:  # a scalar has no side
-        raise DimensionError(f"{what}, got shape {w.shape}")
-    return w
 
 
 def _permutation_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +59,7 @@ def densify(state: FermionState) -> np.ndarray:
     zero on repeated indices, so the total squared norm of a normalized state is 1/N!.
     """
     d, n = _instance(state, FermionState, "state").d, state.n
-    check_cap(d, n)
+    _check_cap(d, n)
     perms, signs = _permutation_signs(n)
     index = np.moveaxis(state.basis.tuples()[:, perms], -1, 0)  # axis p: orbital p of each permuted tuple
     w = np.zeros((d,) * n, dtype=np.complex128)
@@ -80,28 +67,23 @@ def densify(state: FermionState) -> np.ndarray:
     return w
 
 
-def sparsify(tensor: np.ndarray) -> FermionState:
-    """Inverse of densify: read N! times the entries at sorted tuples."""
-    w = _cubic(tensor)
+def _sparsify(w: np.ndarray) -> FermionState:
+    """Inverse of densify on its own output: read N! times the entries at sorted tuples."""
     basis = OrbitalBasisIndex(w.shape[0], w.ndim)
     return FermionState(basis, w[tuple(basis.tuples().T)] * float(factorial(w.ndim)))
 
 
-def oracle_rdm(tensor: np.ndarray) -> ReducedDensityMatrix:
-    """Single-particle marginal by explicit partial trace over N-1 indices.
+def oracle_rdm(state: FermionState) -> ReducedDensityMatrix:
+    """Single-particle marginal by explicit partial trace of densify(state) over N-1 indices.
 
     rho(i, j) is proportional to sum over the remaining indices of
     w(i, rest) * conj(w(j, rest)); the result is normalized to unit trace at
     the end instead of tracking the 1/N prefactor, so this path shares no
     normalization code with the fast combinatorial construction.
     """
-    t = _cubic(tensor)
-    w = t.reshape(t.shape[0], -1)
+    w = densify(state).reshape(state.d, -1)
     g = w @ w.conj().T
-    trace = float(np.trace(g).real)
-    if trace <= 0.0:
-        raise DimensionError("cannot normalize the marginal of a zero tensor")
-    return ReducedDensityMatrix(t.ndim, g / trace)
+    return ReducedDensityMatrix(state.n, g / float(np.trace(g).real))
 
 
 def diagonal_decomposition(state: FermionState) -> tuple[np.ndarray, np.ndarray]:
@@ -112,13 +94,13 @@ def diagonal_decomposition(state: FermionState) -> tuple[np.ndarray, np.ndarray]
     return np.abs(state.amplitudes) ** 2, f
 
 
-def pairwise_identity_gap(weights: np.ndarray, distributions: np.ndarray) -> float:
+def pairwise_identity_gap(state: FermionState) -> float:
     """lhs - rhs of the purity identity sum_i F_i^2 = 1/N - sum_{k<k'} d_k d_k' sum_i (f_ik - f_ik')^2,
-    for the weights d and distributions f of diagonal_decomposition, with F = d @ f.
+    for the weights d and distributions f of diagonal_decomposition(state), with F = d @ f.
 
     Zero up to rounding; evaluated by direct double summation, independently of any density-matrix code.
     """
-    w, f = weights, distributions
+    w, f = diagonal_decomposition(state)
     diagonal = w @ f
     lhs = float(diagonal @ diagonal)
     rhs = float(f.max())  # 1/N: rows sum to 1 with entries 0 or 1/N

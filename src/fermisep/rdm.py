@@ -45,9 +45,9 @@ class ReducedDensityMatrix:
 def compute_rdm(state: FermionState) -> ReducedDensityMatrix:
     """Single-particle reduced density matrix of a pure N-fermion state.
 
-    rho = Phi Phi^dag / N with Phi from OrbitalBasisIndex.annihilate: O(C(D,N) N)
+    rho = Phi Phi^dag / N with Phi from OrbitalBasisIndex._annihilate: O(C(D,N) N)
     work to fill Phi plus one D x D matrix product, never touching the D^N tensor.
     """
-    phi = _instance(state, FermionState, "state").basis.annihilate(state.amplitudes)
+    phi = _instance(state, FermionState, "state").basis._annihilate(state.amplitudes)
     return ReducedDensityMatrix(state.n, phi @ phi.conj().T / state.n)
 

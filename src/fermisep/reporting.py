@@ -14,7 +14,6 @@ import csv
 import io
 import json
 from collections.abc import Iterable
-from importlib import resources
 
 INDENT = 2
 
@@ -75,9 +74,3 @@ def render_csv(header: list[str], rows: Iterable[dict]) -> str:
     writer.writerow(header)
     writer.writerows([_cell(row[key]) for key in header] for row in rows)
     return buffer.getvalue()
-
-
-def load_report_schema() -> dict:
-    """The JSON schema all analysis reports conform to, shipped with the package."""
-    text = resources.files("fermisep").joinpath("schemas/report.schema.json").read_text()
-    return json.loads(text)

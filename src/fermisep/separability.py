@@ -181,7 +181,7 @@ def project_single_particle(
     infinite = np.flatnonzero(~np.isfinite(a))
     if infinite.size:
         raise DimensionError(f"direction entry {infinite[0]} is infinite or NaN")
-    b = np.conj(a) @ state.basis.annihilate(state.amplitudes)
+    b = np.conj(a) @ state.basis._annihilate(state.amplitudes)
     norm = float(np.linalg.norm(b))
     if norm <= NULL_PROJECTION_TOL:
         return None, norm

@@ -230,6 +230,7 @@ def parse_state(text: str) -> tuple[FermionState, float]:
     "re": float, "im": float}, ...]}. Tuples not listed are zero. The
     state is normalized on load; the reported norm is the input's.
     """
+    _instance(text, str, "text")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

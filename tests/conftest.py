@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -39,6 +41,9 @@ MALFORMED_STATES = {
     "deep-nesting": '{"d": 4, "n": 2, "amplitudes": ' + "[" * 100000 + "]" * 100000 + "}",
     "overflowing-norm": '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.5e308}, {"orbitals": [2, 3], "re": 1.5e308}]}',
 }
+
+
+STATE_TEXT = '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [0, 1], "re": 1.0}]}'
 
 
 def _state():
@@ -112,6 +117,10 @@ MALFORMED_ARGUMENTS = {
     "basis-uint64-n": lambda: fermisep.OrbitalBasisIndex(4, np.uint64(2**64 - 1)),
     "haar-uint64-d": lambda: fermisep.haar_unitary(np.uint64(2**63 + 1), np.random.default_rng(0)),
     "samples-past-int64": lambda: fermisep.esbl_check(_state(), samples=2**64 - 1),
+    # State documents that are not text: json.loads would end in a bare TypeError, or decode bytes that the
+    # file reader refuses as not UTF-8.
+    "parse-an-int": lambda: fermisep.parse_state(123),
+    "parse-utf16-bytes": lambda: fermisep.parse_state(STATE_TEXT.encode("utf-16")),
 }
 
 
@@ -125,6 +134,11 @@ def run_python(*argv) -> subprocess.CompletedProcess:
     src = str(Path(fermisep.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env, timeout=60)
+
+
+def report_schema() -> dict:
+    """The JSON schema of analysis reports, read as the installed package ships it."""
+    return json.loads(resources.files("fermisep").joinpath("schemas/report.schema.json").read_text())
 
 
 def enumerated_tuples(d: int, n: int) -> list[tuple[int, ...]]:

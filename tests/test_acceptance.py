@@ -15,7 +15,7 @@ import pytest
 from conftest import random_unitary
 from fermisep.basis import _tables
 from fermisep.cli import main
-from fermisep.oracle import densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap, sparsify
+from fermisep.oracle import _sparsify, densify, oracle_rdm, pairwise_identity_gap
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.separability import analyze, esbl_check, idempotency_defect
 from fermisep.spectral import eigenvalues, purity
@@ -120,10 +120,9 @@ def test_05_fast_path_matches_dense_oracle():
         for d in (3, 4, 5, 6):
             for i in range(100):
                 state = random_state(d, n, np.random.SeedSequence([404, n, d, i]))
-                dense = densify(state)
-                dev = np.max(np.abs(compute_rdm(state).entries - oracle_rdm(dense).entries))
+                dev = np.max(np.abs(compute_rdm(state).entries - oracle_rdm(state).entries))
                 assert dev <= 1e-12
-                roundtrip = np.max(np.abs(sparsify(dense).amplitudes - state.amplitudes))
+                roundtrip = np.max(np.abs(_sparsify(densify(state)).amplitudes - state.amplitudes))
                 assert roundtrip <= 1e-14
 
 
@@ -137,7 +136,7 @@ def test_06_diagonal_decomposition_identity(slater_grid, random_grid):
     for states in (slater_states, random_states):
         for cell in states.values():
             for state in cell:
-                worst = max(worst, abs(pairwise_identity_gap(*diagonal_decomposition(state))))
+                worst = max(worst, abs(pairwise_identity_gap(state)))
     assert worst <= 1e-10
 
 

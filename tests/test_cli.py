@@ -9,11 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_STATES, run_python
+from conftest import MALFORMED_STATES, report_schema, run_python
 import fermisep.cli
 from fermisep.cli import main
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
-from fermisep.reporting import load_report_schema
 from fermisep.separability import EsblResult, analyze, esbl_check
 from fermisep.states import load_state
 
@@ -34,7 +33,7 @@ def test_analyze_entangled_fixture_json(capsys, fixtures_dir):
     code, out, _ = run(capsys, "analyze", str(fixtures_dir / "superposed_pair.json"), "--json")
     assert code == 0
     record = json.loads(out)
-    jsonschema.validate(record, load_report_schema())
+    jsonschema.validate(record, report_schema())
     assert record["e_l"] == pytest.approx(0.25, abs=1e-12)
     assert record["e_vn"] == pytest.approx(math.log(2), abs=1e-12)
     assert record["verdicts"]["separable"] is False

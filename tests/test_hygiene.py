@@ -12,7 +12,7 @@ import fermisep
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fermisep"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
-# Exports that neither the package nor perfbench/ calls, each with the reason it is exported.
+# Public names that neither the package nor perfbench/ calls, each with the reason it is public.
 UNCALLED_EXPORTS = {
     "from_coefficients": "the README quickstart builds its example state with it",
 }
@@ -170,10 +170,16 @@ def program_loaded_names() -> set[str]:
 
 
 def test_every_export_is_called_by_the_program():
-    """A name in fermisep.__all__ is loaded in the package outside __init__.py or in perfbench/, or is
-    on UNCALLED_EXPORTS; an export that only tests call belongs in the module that tests it, not the API."""
+    """A name in fermisep.__all__, or a public function defined at the top level of a package module, is loaded
+    in the package outside __init__.py or in perfbench/, or is on UNCALLED_EXPORTS; a public name that only tests
+    call belongs in the module that tests it, not the API."""
     loaded = program_loaded_names()
-    assert sorted(set(fermisep.__all__) - loaded - set(UNCALLED_EXPORTS)) == []
+    public = {name: name for name in fermisep.__all__}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not private(node.name):
+                public.setdefault(node.name, f"{path.stem}.{node.name}")
+    assert sorted(shown for name, shown in public.items() if name not in loaded | set(UNCALLED_EXPORTS)) == []
     assert sorted(set(UNCALLED_EXPORTS) - set(fermisep.__all__)) == []
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import enumerated_tuples
 from fermisep import oracle
 from fermisep.errors import DimensionError
-from fermisep.oracle import check_cap, densify, oracle_rdm, sparsify
+from fermisep.oracle import _check_cap, _sparsify, densify, oracle_rdm
 from fermisep.states import from_coefficients, random_state
 
 
@@ -55,40 +55,18 @@ def test_densify_matches_the_signed_permutation_sum(d, n):
 @pytest.mark.parametrize("d, n", [(3, 2), (6, 3), (5, 4)])
 def test_densify_sparsify_round_trip(d, n):
     state = random_state(d, n, 12)
-    back = sparsify(densify(state))
+    back = _sparsify(densify(state))
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-14
 
 
 def test_oracle_marginal_examples():
     det = from_coefficients(2, 2, [((0, 1), 1.0)])
-    assert np.allclose(oracle_rdm(densify(det)).entries, np.diag([0.5, 0.5]), atol=1e-14)
+    assert np.allclose(oracle_rdm(det).entries, np.diag([0.5, 0.5]), atol=1e-14)
 
     pair = from_coefficients(4, 2, [((0, 1), 1.0), ((2, 3), 1.0)])
     assert np.allclose(
-        oracle_rdm(densify(pair)).entries, np.diag([0.25, 0.25, 0.25, 0.25]), atol=1e-14
+        oracle_rdm(pair).entries, np.diag([0.25, 0.25, 0.25, 0.25]), atol=1e-14
     )
-
-
-def test_dense_tensor_refuses_a_zero_marginal():
-    with pytest.raises(DimensionError, match="zero tensor"):
-        oracle_rdm(np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("call", [sparsify, oracle_rdm])
-@pytest.mark.parametrize(
-    "tensor",
-    [np.ones((4, 3)), np.ones((3, 4)), np.ones((2, 2, 3)), np.ones((0, 0)), np.ones(()), [[1, 0], [0]], "ab"],
-    ids=["4x3", "3x4", "2x2x3", "0x0", "scalar", "ragged", "string"],
-)
-def test_oracle_refuses_a_tensor_whose_sides_differ_or_are_empty(call, tensor):
-    with pytest.raises(DimensionError, match="^tensor must be a complex array with all sides of one nonzero length"):
-        call(tensor)
-
-
-def test_oracle_reads_a_tensor_given_as_nested_lists():
-    w = densify(random_state(4, 2, 3))
-    assert np.array_equal(sparsify(w.tolist()).amplitudes, sparsify(w).amplitudes)
-    assert np.array_equal(oracle_rdm(w.tolist()).entries, oracle_rdm(w).entries)
 
 
 def test_cap_blocks_large_instances(monkeypatch):
@@ -104,12 +82,12 @@ def test_cap_names_sizes_past_it_without_the_power(d, n):
     # 6^(10^7) takes seconds to compute and 10^8000 is past Python's limit on
     # printed integer digits; 2^20 is the first power of two past 10^6.
     with pytest.raises(DimensionError, match=rf"needs {d}\^{n} entries, above the cap 1000000"):
-        check_cap(d, n)
-    check_cap(d, 0)
+        _check_cap(d, n)
+    _check_cap(d, 0)
 
 
 def test_cap_defaults_and_validation():
     assert oracle.DENSE_CAP == 10**6
-    check_cap(10, 6)  # exactly at the cap
+    _check_cap(10, 6)  # exactly at the cap
     with pytest.raises(DimensionError, match="needs 1030301 entries, above the cap 1000000$"):
-        check_cap(101, 3)
+        _check_cap(101, 3)

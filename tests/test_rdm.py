@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import enumerated_tuples, reference_annihilate
 from fermisep.basis import OrbitalBasisIndex, _annihilation_table
-from fermisep.oracle import densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap
+from fermisep.oracle import diagonal_decomposition, oracle_rdm, pairwise_identity_gap
 from fermisep.errors import DimensionError, NotADensityMatrixError
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.separability import project_single_particle
@@ -36,7 +36,7 @@ def test_matches_dense_partial_trace(n, d):
     for seed in range(5):
         state = random_state(d, n, seed)
         fast = compute_rdm(state).entries
-        dense = oracle_rdm(densify(state)).entries
+        dense = oracle_rdm(state).entries
         assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
@@ -116,12 +116,12 @@ def test_pairwise_purity_identity(seed, shape):
     # diagonal part squared; they must agree to rounding.
     d, n = shape
     state = random_state(d, n, seed)
-    assert abs(pairwise_identity_gap(*diagonal_decomposition(state))) <= 1e-10
+    assert abs(pairwise_identity_gap(state)) <= 1e-10
 
 
 def test_identity_holds_for_slater_states():
     for seed in range(5):
-        assert abs(pairwise_identity_gap(*diagonal_decomposition(random_slater(7, 3, seed)))) <= 1e-10
+        assert abs(pairwise_identity_gap(random_slater(7, 3, seed))) <= 1e-10
 
 
 @pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 8) for n in range(1, d + 1)])

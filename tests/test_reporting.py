@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fermisep.reporting import flatten_report, format_float, load_report_schema, render_csv, render_json
+from conftest import report_schema
+from fermisep.reporting import flatten_report, format_float, render_csv, render_json
 
 
 def test_floats_render_with_seventeen_significant_digits():
@@ -104,7 +105,7 @@ def test_csv_cells_render_scalars():
 
 
 def test_schema_ships_with_package():
-    schema = load_report_schema()
+    schema = report_schema()
     assert schema["type"] == "object"
     assert "purity" in schema["properties"]
     assert set(schema["properties"]["verdicts"]["required"]) == {

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fermisep import separability
 from fermisep.errors import DimensionError
-from fermisep.oracle import densify, diagonal_decomposition
+from fermisep.oracle import densify, diagonal_decomposition, oracle_rdm, pairwise_identity_gap
 from fermisep.rdm import ReducedDensityMatrix, compute_rdm
 from fermisep.reporting import render_json
 from fermisep.separability import (
@@ -29,6 +29,7 @@ from fermisep.states import (
     from_coefficients,
     haar_unitary,
     load_state,
+    parse_state,
     random_slater,
     random_state,
     save_state,
@@ -224,6 +225,10 @@ WRONG_OBJECTS = {
     "densify-a-list": (lambda: densify([1.0] * 20), "state", "FermionState"),
     "decompose-an-array": (lambda: diagonal_decomposition(np.ones(20)), "state", "FermionState"),
     "decompose-a-list": (lambda: diagonal_decomposition([1.0] * 20), "state", "FermionState"),
+    "oracle-marginal-of-a-tensor": (lambda: oracle_rdm(np.ones((2, 2))), "state", "FermionState"),
+    "identity-gap-of-weights": (lambda: pairwise_identity_gap(np.ones(2)), "state", "FermionState"),
+    "parse-an-int": (lambda: parse_state(123), "text", "str"),
+    "parse-bytes": (lambda: parse_state(b"{}"), "text", "str"),
     "state-on-a-tuple": (lambda: FermionState((6, 3), np.ones(20)), "basis", "OrbitalBasisIndex"),
 }
 
