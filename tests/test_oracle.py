@@ -69,6 +69,30 @@ def test_oracle_marginal_examples():
     )
 
 
+def test_dense_tensor_refuses_a_zero_marginal():
+    # oracle_rdm takes a state, never a tensor, and a state is never zero.
+    with pytest.raises(DimensionError, match="^state must be of type FermionState, got ndarray$"):
+        oracle_rdm(np.zeros((2, 2)))
+
+
+def sparsify(tensor):
+    """The one way the program hands _sparsify a tensor: the densify round trip of verify."""
+    return _sparsify(densify(tensor))
+
+
+@pytest.mark.parametrize("call", [sparsify, oracle_rdm])
+@pytest.mark.parametrize(
+    "tensor",
+    [np.ones((4, 3)), np.ones((3, 4)), np.ones((2, 2, 3)), np.ones((0, 0)), np.ones(()), [[1, 0], [0]], "ab"],
+    ids=["4x3", "3x4", "2x2x3", "0x0", "scalar", "ragged", "string"],
+)
+def test_oracle_refuses_a_tensor_whose_sides_differ_or_are_empty(call, tensor):
+    # No tensor reaches the oracle: its entry points take a FermionState, and
+    # _sparsify reads only what densify made of one.
+    with pytest.raises(DimensionError, match="^state must be of type FermionState, got (ndarray|list|str)$"):
+        call(tensor)
+
+
 def test_cap_blocks_large_instances(monkeypatch):
     monkeypatch.setattr(oracle, "DENSE_CAP", 100)
     with pytest.raises(DimensionError, match="above the cap 100$"):
